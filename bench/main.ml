@@ -492,14 +492,14 @@ let ablation () =
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation-engine ablation: the same synthesis run with the engine's
-   machinery disabled (no cache, no staging, sequential) versus enabled,
-   checking that the synthesized design is bit-identical and reporting
-   the end-to-end speedup plus cache/staging statistics. *)
+   machinery disabled (no cache, sequential) versus enabled, checking
+   that the synthesized design is bit-identical and reporting the
+   end-to-end speedup plus cache statistics. *)
 
 let engine_section () =
   header "engine"
-    (Printf.sprintf "Evaluation-engine ablation (jobs=%d; cache + staged power vs direct)" jobs);
-  let baseline = { Engine.jobs = 1; cache_capacity = 0; staged = false } in
+    (Printf.sprintf "Evaluation-engine ablation (jobs=%d; cache + pool vs direct)" jobs);
+  let baseline = { Engine.jobs = 1; cache_capacity = 0 } in
   let with_policy p =
     { config with S.engine = p; clib_effort = { config.S.clib_effort with Clib.engine = p } }
   in
@@ -513,7 +513,7 @@ let engine_section () =
   in
   let t =
     Table.create
-      ~header:[ "case"; "direct (s)"; "engine (s)"; "speedup"; "cache hits"; "sims skipped"; "identical" ]
+      ~header:[ "case"; "direct (s)"; "engine (s)"; "speedup"; "cache hits"; "identical" ]
   in
   let sched_before = Sched.stats () in
   let case_objs = ref [] in
@@ -566,7 +566,6 @@ let engine_section () =
           Printf.sprintf "%.2f (p90 %.2f)" eng_med (p90 eng_runs);
           Printf.sprintf "%.2fx" speedup;
           Printf.sprintf "%d/%d (%.0f%%)" c.Engine.cache_hits probes hit_rate;
-          Printf.sprintf "%d/%d" c.Engine.power_skipped (c.Engine.power_sims + c.Engine.power_skipped);
           (if identical then "yes" else "NO");
         ];
       case_objs :=
@@ -578,7 +577,6 @@ let engine_section () =
             ("speedup", Json.Float speedup);
             ("cache_hit_rate", Json.Float (hit_rate /. 100.));
             ("power_sims", Json.Int c.Engine.power_sims);
-            ("power_skipped", Json.Int c.Engine.power_skipped);
             ("identical", Json.Bool identical);
             ("result", S.Result.to_json_value (fst (List.hd eng_runs)));
           ]
@@ -595,7 +593,6 @@ let engine_section () =
          Json.Obj
            [
              ("schedules", Json.Int sd.Sched.schedules);
-             ("legacy_schedules", Json.Int sd.Sched.legacy_schedules);
              ("events_popped", Json.Int sd.Sched.events_popped);
              ("prepared_hits", Json.Int sd.Sched.prepared_hits);
              ("prepared_builds", Json.Int sd.Sched.prepared_builds);
@@ -606,9 +603,8 @@ let engine_section () =
   Table.print t;
   Printf.printf "engine-json: %s\n" (Json.to_string json);
   Printf.printf
-    "Reading: \"identical\" confirms the engine is result-preserving — memoization,\n\
-     staged power evaluation and the worker pool change how candidates are costed,\n\
-     never which candidate wins.\n"
+    "Reading: \"identical\" confirms the engine is result-preserving — memoization\n\
+     and the worker pool change how candidates are costed, never which candidate wins.\n"
 
 (* ------------------------------------------------------------------ *)
 (* Session memoization: the same synthesis twice — cold on a fresh
@@ -795,18 +791,15 @@ let rewrite_section () =
      \"ok\" means at least one benchmark ends strictly better with family E enabled.\n"
 
 (* ------------------------------------------------------------------ *)
-(* Persistent cache tier + portfolio search: each workload runs three
-   ways — cold (populating and saving the cache), warm (a fresh session
-   reloading the persisted cache, simulating a process restart), and as
-   an N-strategy portfolio race. The warm run must be bit-identical to
-   the cold one with a nonzero disk hit rate; the portfolio result must
-   be no worse than the single-strategy run under the same budget. CI
-   greps BENCH_cache.json for "ok":true. *)
+(* Persistent cache tier: each workload runs twice — cold (populating
+   and saving the cache) and warm (a fresh session reloading the
+   persisted cache, simulating a process restart). The warm run must be
+   bit-identical to the cold one with a nonzero disk hit rate. CI greps
+   BENCH_cache.json for "ok":true. *)
 
 let cache_section () =
-  header "cache" "Persistent cost cache (cold vs disk-warm) and portfolio search";
+  header "cache" "Persistent cost cache (cold vs disk-warm)";
   let module Gen = Hsyn_fuzz.Gen in
-  let portfolio_n = 3 in
   (* suite workloads plus fuzz-generated near-duplicates: consecutive
      seeds draw structurally similar programs, the cross-workload
      sharing a persistent cache is meant to exploit *)
@@ -839,14 +832,13 @@ let cache_section () =
   let t =
     Table.create
       ~header:
-        [ "case"; "cold (s)"; "warm (s)"; "speedup"; "disk hits"; "portfolio (s)"; "ok" ]
+        [ "case"; "cold (s)"; "warm (s)"; "speedup"; "disk hits"; "ok" ]
   in
   let case_objs = ref [] in
   let all_ok = ref true in
   List.iter
     (fun (case, registry, dfg, objective) ->
-      Printf.printf "  running %s (cold + save, warm reload, portfolio %d) ...\n%!" case
-        portfolio_n;
+      Printf.printf "  running %s (cold + save, warm reload) ...\n%!" case;
       let sampling_ns = 2.2 *. Float.max 1.0 (S.min_sampling_ns lib registry dfg) in
       let dir = fresh_dir () in
       Fun.protect ~finally:(fun () -> remove_dir dir) @@ fun () ->
@@ -867,14 +859,6 @@ let cache_section () =
       let warm = run ~cache_dir:dir warm_session in
       let disk_hits = (Session.totals warm_session).Engine.disk_hits in
       let cache_hits = (Session.totals warm_session).Engine.cache_hits in
-      (* portfolio: race N sweep orders on one fresh shared session *)
-      let p0 = Unix.gettimeofday () in
-      let portfolio =
-        match S.portfolio ~n:portfolio_n (request (Session.create ())) with
-        | Ok r -> r
-        | Error msg -> failwith msg
-      in
-      let portfolio_s = Unix.gettimeofday () -. p0 in
       let identical =
         Int64.bits_of_float cold.S.eval.Cost.area = Int64.bits_of_float warm.S.eval.Cost.area
         && Int64.bits_of_float cold.S.eval.Cost.power
@@ -882,11 +866,7 @@ let cache_section () =
         && Design.fingerprint cold.S.design = Design.fingerprint warm.S.design
       in
       let cold_v = Cost.objective_value objective cold.S.eval in
-      let portfolio_v = Cost.objective_value objective portfolio.S.eval in
-      (* every strategy sweeps the same context set, so a completed
-         portfolio finds the same optimal value as the canonical order *)
-      let portfolio_ok = portfolio.S.completed && portfolio_v <= cold_v in
-      let ok = identical && disk_hits > 0 && portfolio_ok in
+      let ok = identical && disk_hits > 0 in
       let speedup = cold.S.elapsed_s /. Float.max 1e-9 warm.S.elapsed_s in
       all_ok := !all_ok && ok;
       Table.add_row t
@@ -896,7 +876,6 @@ let cache_section () =
           Printf.sprintf "%.2f" warm.S.elapsed_s;
           Printf.sprintf "%.2fx" speedup;
           Printf.sprintf "%d/%d" disk_hits cache_hits;
-          Printf.sprintf "%.2f" portfolio_s;
           (if ok then "yes" else "NO");
         ];
       case_objs :=
@@ -912,9 +891,6 @@ let cache_section () =
              Json.Float
                (if cache_hits = 0 then 0.
                 else Float.of_int disk_hits /. Float.of_int cache_hits));
-            ("portfolio_n", Json.Int portfolio_n);
-            ("portfolio_s", Json.Float portfolio_s);
-            ("portfolio_value", Json.Float portfolio_v);
             ("cold_value", Json.Float cold_v);
             ("identical", Json.Bool identical);
             ("ok", Json.Bool ok);
@@ -940,87 +916,7 @@ let cache_section () =
   Printf.printf
     "Reading: the warm run starts from a fresh session plus the cache file the cold run\n\
      persisted — its disk hits are work a restarted process did not redo, and \"ok\"\n\
-     additionally confirms warm ≡ cold bit-for-bit and that the portfolio race is no\n\
-     worse than the canonical single-strategy sweep.\n"
-
-(* ------------------------------------------------------------------ *)
-(* Scheduler-kernel microbenchmark: event-driven vs legacy time-stepped
-   on the largest suite benchmark. Runs even under --no-micro (it is
-   cheap and CI persists its JSON as the BENCH_sched.json artifact). *)
-
-let sched_section () =
-  let module Bm = Bechamel in
-  let module Test = Bechamel.Test in
-  let module Staged = Bechamel.Staged in
-  (* largest built-in behavior by flattened operation count *)
-  let weight (b : Suite.t) = Flatten.total_operations b.Suite.registry b.Suite.dfg in
-  let b =
-    List.fold_left
-      (fun best c -> if weight c > weight best then c else best)
-      (Suite.test1 ()) (Suite.all ())
-  in
-  let n_ops = weight b in
-  header "sched"
-    (Printf.sprintf "Scheduler kernel: event-driven vs legacy (largest benchmark: %s, %d ops)"
-       b.Suite.name n_ops);
-  let ctx = { Design.lib; vdd = 5.0; clk_ns = 20.0 } in
-  let d = Initial.build ctx ~complexes:(fun _ -> []) b.Suite.registry b.Suite.dfg in
-  let cs = Sched.relaxed ~deadline:1000 b.Suite.dfg in
-  let prepared = Sched.prepared_for d.Design.dfg in
-  (* identical results first — a speedup of a wrong kernel is worthless *)
-  let ev = Sched.schedule ~prepared ctx cs d in
-  let lg = Sched.schedule_legacy ctx cs d in
-  let identical =
-    ev.Sched.start = lg.Sched.start && ev.Sched.avail = lg.Sched.avail
-    && ev.Sched.makespan = lg.Sched.makespan && ev.Sched.feasible = lg.Sched.feasible
-  in
-  let tests =
-    [
-      Test.make ~name:"event" (Staged.stage (fun () -> Sched.schedule ~prepared ctx cs d));
-      Test.make ~name:"event-unprepared" (Staged.stage (fun () -> Sched.schedule ctx cs d));
-      Test.make ~name:"legacy" (Staged.stage (fun () -> Sched.schedule_legacy ctx cs d));
-    ]
-  in
-  let ols = Bm.Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Bm.Measure.run |] in
-  let instances = Bm.Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Bm.Benchmark.cfg ~limit:2000 ~quota:(Bm.Time.second 0.5) ~kde:None () in
-  let raw = Bm.Benchmark.all cfg instances (Test.make_grouped ~name:"sched" tests) in
-  let results = Bm.Analyze.all ols Bm.Toolkit.Instance.monotonic_clock raw in
-  let estimate name =
-    match Hashtbl.fold (fun k v acc -> if k = "sched/" ^ name then Some v else acc) results None with
-    | Some r -> ( match Bm.Analyze.OLS.estimates r with Some [ ns ] -> ns | _ -> nan)
-    | None -> nan
-  in
-  let event_ns = estimate "event" in
-  let event_unprep_ns = estimate "event-unprepared" in
-  let legacy_ns = estimate "legacy" in
-  let speedup = legacy_ns /. Float.max 1e-9 event_ns in
-  Printf.printf "  %-20s %12.1f ns/run\n" "event" event_ns;
-  Printf.printf "  %-20s %12.1f ns/run\n" "event (unprepared)" event_unprep_ns;
-  Printf.printf "  %-20s %12.1f ns/run\n" "legacy" legacy_ns;
-  Printf.printf "  speedup (legacy/event): %.2fx   identical schedules: %s\n" speedup
-    (if identical then "yes" else "NO");
-  let json =
-    Json.Obj
-      [
-        ("benchmark", Json.String b.Suite.name);
-        ("total_operations", Json.Int n_ops);
-        ("deadline", Json.Int cs.Sched.deadline);
-        ("event_ns", Json.Float event_ns);
-        ("event_unprepared_ns", Json.Float event_unprep_ns);
-        ("legacy_ns", Json.Float legacy_ns);
-        ("speedup", Json.Float speedup);
-        ("identical", Json.Bool identical);
-        ("quick", Json.Bool quick);
-      ]
-  in
-  let line = Json.to_string json in
-  Printf.printf "sched-json: %s\n" line;
-  let oc = open_out "BENCH_sched.json" in
-  output_string oc line;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  (written to BENCH_sched.json)\n"
+     additionally confirms warm ≡ cold bit-for-bit.\n"
 
 (* ------------------------------------------------------------------ *)
 (* Observability overhead: the same synthesis run with the flight
@@ -1491,7 +1387,6 @@ let () =
   if section "session" then session_section ();
   if section "rewrite" then rewrite_section ();
   if section "cache" then cache_section ();
-  if section "sched" then sched_section ();
   if section "obs" then obs_section ();
   if section "serve" then serve_section ();
   if (not no_micro) && section "micro" then micro ();

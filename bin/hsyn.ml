@@ -193,12 +193,7 @@ let synth_one ~session ~doc progress events_json trace_out metrics_out checkpoin
                 | None -> ());
                 Sys.set_signal Sys.sigint previous)
               (fun () ->
-                if doc.Wire.portfolio > 1 then
-                  S.portfolio ~events ~token ?cache_dir:doc.Wire.cache
-                    ~n:doc.Wire.portfolio req
-                else
-                  S.synthesize ~events ~token ?checkpoint ~resume
-                    ?cache_dir:doc.Wire.cache req)
+                S.synthesize ~events ~token ?checkpoint ~resume ?cache_dir:doc.Wire.cache req)
           in
           match outcome with
           | Error msg ->
@@ -222,9 +217,8 @@ let synth_one ~session ~doc progress events_json trace_out metrics_out checkpoin
                   (match r.S.coverage.S.stop_reason with Some s -> s | None -> "?")
                   r.S.coverage.S.contexts_done r.S.coverage.S.contexts_planned;
               if show_stats || profile then begin
-                Printf.printf "\nevaluation engine (jobs %d, cache %d, staging %s):\n"
-                  policy.Engine.jobs policy.Engine.cache_capacity
-                  (if policy.Engine.staged then "on" else "off");
+                Printf.printf "\nevaluation engine (jobs %d, cache %d):\n" policy.Engine.jobs
+                  policy.Engine.cache_capacity;
                 Format.printf "  total        %a@." Engine.pp_counters (Session.totals session);
                 List.iter
                   (fun (fam, c) -> Format.printf "  %-12s %a@." fam Engine.pp_counters c)
@@ -266,7 +260,7 @@ let synth_one ~session ~doc progress events_json trace_out metrics_out checkpoin
    documents a [serve] client sends, then resolves them through the
    same [Wire.to_request]. [--dump-request] prints them instead. *)
 let make_docs bench file dfg_name objective lf sampling mode seed jobs budget_s max_contexts
-    portfolio cache no_rewrite =
+    cache no_rewrite =
   Result.bind (load_sources bench file dfg_name) (fun sources ->
       let objective =
         match Cost.objective_of_string objective with Some o -> o | None -> Cost.Area
@@ -288,22 +282,19 @@ let make_docs bench file dfg_name objective lf sampling mode seed jobs budget_s 
           clib_effort = { Clib.default_effort with Clib.engine = policy };
         }
       in
-      if portfolio < 1 then Error (Printf.sprintf "--portfolio must be >= 1 (got %d)" portfolio)
-      else
-        Result.bind (Budget.make ?deadline_s:budget_s ?max_contexts ()) (fun budget ->
-            Ok
-              (List.map
-                 (Wire.make_doc ~objective ~timing ~flatten:(mode = "flat") ~config ~budget
-                    ~portfolio ?cache)
-                 sources)))
+      Result.bind (Budget.make ?deadline_s:budget_s ?max_contexts ()) (fun budget ->
+          Ok
+            (List.map
+               (Wire.make_doc ~objective ~timing ~flatten:(mode = "flat") ~config ~budget ?cache)
+               sources)))
 
 let do_synth bench file dfg_name objective lf sampling mode seed jobs budget_s max_contexts
-    portfolio cache no_rewrite share_session dump_request progress events_json trace_out
+    cache no_rewrite share_session dump_request progress events_json trace_out
     metrics_out checkpoint resume json show_stats profile show_rtl show_fsm show_sched
     show_verilog =
   match
     make_docs bench file dfg_name objective lf sampling mode seed jobs budget_s max_contexts
-      portfolio cache no_rewrite
+      cache no_rewrite
   with
   | Error msg ->
       prerr_endline ("hsyn: " ^ msg);
@@ -382,16 +373,6 @@ let max_contexts_arg =
     & opt (some int) None
     & info [ "max-contexts" ] ~docv:"N"
         ~doc:"Stop after N (V_dd, clock) contexts of the sweep.")
-
-let portfolio_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "portfolio" ] ~docv:"N"
-        ~doc:
-          "Race N deterministic sweep strategies on a shared memoization session; the first to \
-           complete its full sweep wins and cancels the rest. The winner's result is bit-identical \
-           to running that strategy alone, so this trades CPU for wall clock without changing any \
-           answer. N=1 (the default) is a plain run.")
 
 let cache_arg =
   Arg.(
@@ -478,7 +459,7 @@ let stats_flag =
   Arg.(
     value & flag
     & info [ "stats" ]
-        ~doc:"Print evaluation-engine and scheduler-kernel statistics (cache, staging, parallelism).")
+        ~doc:"Print evaluation-engine and scheduler-kernel statistics (cache, parallelism).")
 
 let profile_flag =
   Arg.(
@@ -507,7 +488,7 @@ let synth_cmd =
   Cmd.v (Cmd.info "synth" ~doc)
     Term.(
       const do_synth $ bench_arg $ file_arg $ dfg_arg $ objective_arg $ lf_arg $ sampling_arg
-      $ mode_arg $ seed_arg $ jobs_arg $ budget_arg $ max_contexts_arg $ portfolio_arg
+      $ mode_arg $ seed_arg $ jobs_arg $ budget_arg $ max_contexts_arg
       $ cache_arg $ no_rewrite_flag $ share_session_flag $ dump_request_flag $ progress_flag $ events_json_arg
       $ trace_arg $ metrics_arg $ checkpoint_arg $ resume_flag $ json_flag $ stats_flag
       $ profile_flag $ rtl_flag $ fsm_flag $ sched_flag $ verilog_flag)
@@ -733,11 +714,12 @@ let fuzz_cmd =
       `S Cmdliner.Manpage.s_description;
       `P
         "Draws random well-formed hierarchical DFG programs and checks, per program, that \
-         implementations which must agree do agree: the event-driven scheduler against the legacy \
-         kernel, the memoized evaluation engine against direct cost evaluation, print against \
-         parse, checkpoint-resume against an uninterrupted sweep, parallel against sequential \
-         evaluation, and module merging against behavioral simulation. Failing programs are \
-         shrunk to minimal $(b,.hsyn) repro files in the corpus directory.";
+         implementations which must agree do agree: the event-driven scheduler against a \
+         time-stepped reference kernel, the memoized evaluation engine against direct cost \
+         evaluation, print against parse, checkpoint-resume against an uninterrupted sweep, \
+         parallel against sequential evaluation, and module merging against behavioral \
+         simulation. Failing programs are shrunk to minimal $(b,.hsyn) repro files in the corpus \
+         directory.";
     ]
   in
   Cmd.v (Cmd.info "fuzz" ~doc ~man)

@@ -17,14 +17,9 @@ let () =
   let min_ns = S.min_sampling_ns lib b.Suite.registry b.Suite.dfg in
   let sampling_ns = 2.2 *. min_ns in
 
-  (* 1. A validated config through the builder API. [Config.t] is the
-     plain [config] record, so [{ S.default_config with ... }] updates
-     still work; [make] additionally rejects invalid settings. *)
-  let config =
-    match S.Config.make ~max_passes:2 ~trace_length:8 ~max_clocks:2 () with
-    | Ok c -> c
-    | Error msg -> failwith msg
-  in
+  (* 1. A config is a record update of the defaults; [Request.make]
+     below validates it and rejects invalid settings. *)
+  let config = { S.default_config with S.max_passes = 2; trace_length = 8; max_clocks = 2 } in
 
   (* 2. A resource envelope: half a second of wall clock. Quotas on
      moves, passes, and contexts compose the same way. *)

@@ -21,12 +21,12 @@ type eval = {
   feasible : bool;
 }
 
-(* Evaluation is split into two stages so the engine can memoize and
-   skip independently: [schedule_stage] (scheduling feasibility and
-   area) always runs; [power_stage] (the trace simulation) is the
-   expensive part and composes on top. [evaluate] is exactly their
-   composition, which is what makes staged engine results bit-identical
-   to direct evaluation. *)
+(* Evaluation is split into two stages so the engine can memoize them
+   independently and area searches never simulate: [schedule_stage]
+   (scheduling feasibility and area) always runs; [power_stage] (the
+   trace simulation) is the expensive part and composes on top.
+   [evaluate] is exactly their composition, which is what makes engine
+   results bit-identical to direct evaluation. *)
 
 let schedule_stage ?sched_cache ?prepared ctx cs design =
   let sch = Sched.schedule ?cache:sched_cache ?prepared ctx cs design in
@@ -72,13 +72,3 @@ let objective_value obj e =
     match obj with
     | Area -> e.area
     | Power -> if Float.is_nan e.power then infinity else e.power +. (area_tiebreak *. e.area)
-
-let objective_lower_bound obj ctx ~sampling_ns ~n_samples partial design =
-  if not partial.feasible then infinity
-  else
-    match obj with
-    | Area -> partial.area
-    | Power ->
-        let e = Power.energy_floor ctx design ~makespan:partial.makespan ~n_samples in
-        (e *. Voltage.energy_factor ctx.Design.vdd /. sampling_ns *. 1000.)
-        +. (area_tiebreak *. partial.area)

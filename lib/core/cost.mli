@@ -60,20 +60,6 @@ val power_stage :
     and fill [power]/[energy_sample] into a {!schedule_stage} result
     (identity on infeasible designs). *)
 
-val objective_lower_bound :
-  objective ->
-  Design.ctx ->
-  sampling_ns:float ->
-  n_samples:int ->
-  eval ->
-  Design.t ->
-  float
-(** Lower bound on [objective_value obj (power_stage ... partial)]
-    computable from the {!schedule_stage} result alone (via
-    {!Hsyn_eval.Power.energy_floor} in power mode). The engine skips
-    the trace simulation of any candidate whose bound already exceeds
-    the best value seen in its batch. *)
-
 val objective_value : objective -> eval -> float
 (** The scalar being minimized: area, or power plus a small area
     tie-break (see implementation note); [infinity] if the design is

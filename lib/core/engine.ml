@@ -25,9 +25,9 @@ let add = Session.add
 let sub = Session.sub
 let pp_counters = Session.pp_counters
 
-type policy = { jobs : int; cache_capacity : int; staged : bool }
+type policy = { jobs : int; cache_capacity : int }
 
-let default_policy = { jobs = Pool.default_jobs (); cache_capacity = 4096; staged = true }
+let default_policy = { jobs = Pool.default_jobs (); cache_capacity = 4096 }
 
 type entry = Session.entry = {
   e_design : Design.t;
@@ -41,7 +41,6 @@ type t = {
   cs : Sched.constraints;
   sampling_ns : float;
   trace : int array list;
-  n_samples : int;
   obj : Cost.objective;
   token : Budget.token option;
   session : Session.t;
@@ -81,7 +80,6 @@ let metrics_bump fam d =
   put "cache_misses" d.cache_misses;
   put "evictions" d.evictions;
   put "power_sims" d.power_sims;
-  put "power_skipped" d.power_skipped;
   put "batches" d.batches;
   put "disk_hits" d.disk_hits;
   if d.wall_s <> 0. then Metrics.facc (Metrics.fcounter "engine.wall_s") d.wall_s
@@ -106,7 +104,6 @@ let create ?(policy = default_policy) ?session ?token ~ctx ~cs ~sampling_ns ~tra
     cs;
     sampling_ns;
     trace;
-    n_samples = List.length trace;
     obj = objective;
     token;
     session;
@@ -159,7 +156,7 @@ let cache_insert t fp (e : entry) =
 let cache_find t fp design =
   match t.costs with None -> None | Some cache -> Session.cost_find cache fp design
 
-(* -- staged evaluation primitives -------------------------------------- *)
+(* -- two-stage evaluation primitives ------------------------------------ *)
 
 (* Make sure [t.prepared] matches [design]'s graph. Must only be called
    from the engine's owning domain, never from pool workers. *)
@@ -227,9 +224,7 @@ type 'a cand = {
   c_idx : int;  (* generation index; ties resolve to the smallest *)
   c_tag : 'a;
   c_fam : string option;
-  c_fp : int64;
   c_entry : entry;
-  c_cached : bool;
 }
 
 let take_n n seq =
@@ -316,7 +311,7 @@ let best_of t ?family ~limit seq =
         | Some e, _ ->
             bump t ?fam:(fam tag)
               { zero with cache_hits = 1; disk_hits = (if e.e_from_disk then 1 else 0) };
-            { c_idx = i; c_tag = tag; c_fam = fam tag; c_fp = fp; c_entry = e; c_cached = true }
+            { c_idx = i; c_tag = tag; c_fam = fam tag; c_entry = e }
         | None, Some partial ->
             bump t ?fam:(fam tag) { zero with cache_misses = 1; evaluated = 1 };
             let e =
@@ -332,92 +327,45 @@ let best_of t ?family ~limit seq =
             Atomic.set e.e_state
               (if partial.Cost.feasible then Session.Partial partial else Session.Full partial);
             cache_insert t fp e;
-            { c_idx = i; c_tag = tag; c_fam = fam tag; c_fp = fp; c_entry = e; c_cached = false }
+            { c_idx = i; c_tag = tag; c_fam = fam tag; c_entry = e }
         | None, None -> assert false)
       probed stage1_results
   in
-  let finish best =
-    bump t { zero with batches = 1; wall_s = Unix.gettimeofday () -. t0 };
-    Option.map
-      (fun (c, v) -> (c.c_tag, c.c_entry.e_design, Session.entry_eval c.c_entry, v))
-      best
-  in
-  match t.obj with
-  | Cost.Area ->
-      (* Area is fully determined by stage 1 — pick directly. *)
-      let best = ref None in
-      Array.iter
-        (fun c ->
-          let v = Cost.objective_value t.obj (Session.entry_eval c.c_entry) in
-          if v < infinity then
-            match !best with
-            | Some (_, bv, bi) when not (better (v, c.c_idx) (bv, bi)) -> ()
-            | _ -> best := Some (c, v, c.c_idx))
-        cands;
-      finish (Option.map (fun (c, v, _) -> (c, v)) !best)
-  | Cost.Power ->
-      (* Seed the incumbent from candidates whose power is already
-         known (cache hits with a completed simulation). *)
-      let best = ref None in
-      let consider c =
+  (* Area is fully determined by stage 1. In power mode, simulate every
+     candidate still missing its power, in one parallel map. *)
+  (if t.obj = Cost.Power then
+     let pending =
+       Array.to_list cands
+       |> List.filter (fun c ->
+              match Atomic.get c.c_entry.e_state with
+              | Session.Partial _ -> true
+              | Session.Full _ -> false)
+       |> Array.of_list
+     in
+     let evals =
+       try
+         Pool.map_array ~cancel pool
+           (fun c -> stage2 t c.c_entry.e_design (Session.entry_eval c.c_entry))
+           pending
+       with Pool.Cancelled -> raise_interrupted t
+     in
+     Array.iteri
+       (fun i c ->
+         Atomic.set c.c_entry.e_state (Session.Full evals.(i));
+         bump t ?fam:c.c_fam { zero with power_sims = 1 })
+       pending);
+  (* the feasible candidate with the least objective; ties go to the
+     earliest generated *)
+  let best =
+    Array.fold_left
+      (fun best c ->
         let v = Cost.objective_value t.obj (Session.entry_eval c.c_entry) in
-        if v < infinity then
-          match !best with
-          | Some (_, bv, bi) when not (better (v, c.c_idx) (bv, bi)) -> ()
-          | _ -> best := Some (c, v, c.c_idx)
-      in
-      let pending = ref [] in
-      Array.iter
-        (fun c ->
-          match Atomic.get c.c_entry.e_state with
-          | Session.Full ev -> if ev.Cost.feasible then consider c
-          | Session.Partial _ -> pending := c :: !pending)
-        cands;
-      (* Simulate the rest cheapest-bound-first, in waves sized to the
-         pool, skipping every candidate whose lower bound proves it
-         cannot beat the incumbent. Skips never change the winner:
-         objective >= bound > best value. *)
-      let bound c =
-        Cost.objective_lower_bound t.obj t.ctx ~sampling_ns:t.sampling_ns
-          ~n_samples:t.n_samples (Session.entry_eval c.c_entry) c.c_entry.e_design
-      in
-      let pending =
-        List.rev_map (fun c -> (bound c, c)) !pending
-        |> List.sort (fun (b1, c1) (b2, c2) -> compare (b1, c1.c_idx) (b2, c2.c_idx))
-      in
-      let wave_size = max (2 * Pool.jobs pool) 8 in
-      let rec waves = function
-        | [] -> ()
-        | pending ->
-            check_token t;
-            let beats_best b =
-              (not t.policy.staged)
-              || match !best with None -> true | Some (_, bv, _) -> b <= bv
-            in
-            let skipped, rest = List.partition (fun (b, _) -> not (beats_best b)) pending in
-            List.iter
-              (fun (_, c) -> bump t ?fam:c.c_fam { zero with power_skipped = 1 })
-              skipped;
-            (match rest with
-            | [] -> ()
-            | rest ->
-                let wave = take_n wave_size (List.to_seq rest) in
-                let rest = List.filteri (fun i _ -> i >= List.length wave) rest in
-                let evals =
-                  try
-                    Pool.map_array ~cancel pool
-                      (fun (_, c) ->
-                        stage2 t c.c_entry.e_design (Session.entry_eval c.c_entry))
-                      (Array.of_list wave)
-                  with Pool.Cancelled -> raise_interrupted t
-                in
-                List.iteri
-                  (fun i (_, c) ->
-                    Atomic.set c.c_entry.e_state (Session.Full evals.(i));
-                    bump t ?fam:c.c_fam { zero with power_sims = 1 };
-                    consider c)
-                  wave;
-                waves rest)
-      in
-      waves pending;
-      finish (Option.map (fun (c, v, _) -> (c, v)) !best)
+        if not (v < infinity) then best
+        else
+          match best with
+          | Some (bc, bv) when not (better (v, c.c_idx) (bv, bc.c_idx)) -> best
+          | _ -> Some (c, v))
+      None cands
+  in
+  bump t { zero with batches = 1; wall_s = Unix.gettimeofday () -. t0 };
+  Option.map (fun (c, v) -> (c.c_tag, c.c_entry.e_design, Session.entry_eval c.c_entry, v)) best

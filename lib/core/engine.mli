@@ -11,12 +11,10 @@
       candidates re-generated across passes and across the A/B/C/D
       move families are never re-scheduled or re-simulated. Hits are
       verified by structural equality, making collisions harmless.
-    - {b staged evaluation} — scheduling feasibility and area are
-      computed first; in power mode the expensive trace simulation
-      runs only for candidates whose trace-independent lower bound
-      ({!Cost.objective_lower_bound}) can still beat the best value
-      seen so far in the batch. Skipping is exact: a skipped candidate
-      provably cannot win.
+    - {b two-stage evaluation} — scheduling feasibility and area are
+      computed first ({!Cost.schedule_stage}); the trace simulation
+      ({!Cost.power_stage}) runs only in power mode, and only for
+      feasible candidates. Area searches never simulate.
     - {b parallel batches} — stage-one and stage-two evaluations of a
       candidate batch run on a fixed {!Hsyn_util.Pool} of domains,
       sized by [HSYN_JOBS] / [--jobs], falling back to plain
@@ -24,8 +22,8 @@
 
     Results are bit-identical to direct {!Cost.evaluate} calls and
     independent of the pool size; per-family counters make the cache
-    and staging behavior observable ([hsyn synth --stats], the bench
-    harness JSON). *)
+    behavior observable ([hsyn synth --stats], the bench harness
+    JSON). *)
 
 module Design = Hsyn_rtl.Design
 module Sched = Hsyn_sched.Sched
@@ -37,7 +35,7 @@ type counters = Session.counters = {
   cache_misses : int;
   evictions : int;  (** cache entries dropped to respect capacity *)
   power_sims : int;  (** trace simulations actually run *)
-  power_skipped : int;  (** simulations avoided by the staged bound *)
+  power_skipped : int;  (** always 0, see {!Session.counters} *)
   batches : int;  (** [best_of] calls *)
   disk_hits : int;  (** cache hits served by persisted entries ([Session.load_into]) *)
   wall_s : float;  (** wall time spent inside the engine *)
@@ -50,16 +48,15 @@ val sub : counters -> counters -> counters
     interval, used to attribute engine work to one improvement run. *)
 
 val pp_counters : Format.formatter -> counters -> unit
-(** One-line summary incl. hit rate and skip rate. *)
+(** One-line summary incl. hit rate. *)
 
 type policy = {
   jobs : int;  (** parallelism degree; 1 = sequential, no domains *)
   cache_capacity : int;  (** max memoized designs; 0 disables the cache *)
-  staged : bool;  (** enable the power-simulation skip bound *)
 }
 
 val default_policy : policy
-(** [jobs] from [HSYN_JOBS] (default 1), capacity 4096, staged on. *)
+(** [jobs] from [HSYN_JOBS] (default 1), capacity 4096. *)
 
 type t
 
@@ -84,7 +81,7 @@ val create :
     (see {!Session}).
 
     When a budget [token] is given, {!best_of} polls it for {e hard}
-    interruptions (deadline, cancellation) between evaluation waves
+    interruptions (deadline, cancellation) at the start of a batch
     and inside worker tasks, raising {!Budget.Interrupted} — quotas
     are never consulted here, so quota-limited runs stay
     deterministic. An interrupted batch leaves no worker domain stuck
@@ -111,7 +108,7 @@ val best_of :
   ('a * Design.t) Seq.t ->
   ('a * Design.t * Cost.eval * float) option
 (** Pull at most [limit] candidates from the (lazily produced)
-    sequence, evaluate them — memoized, staged, in parallel batches —
+    sequence, evaluate them — memoized, in parallel batches —
     and return the feasible candidate minimizing the objective, with
     its evaluation and objective value. Ties go to the earliest
     candidate, matching a sequential fold; the result does not depend

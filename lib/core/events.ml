@@ -30,7 +30,6 @@ type payload =
   | Checkpoint_saved of { path : string; contexts_done : int }
   | Cache_loaded of { dir : string; entries : int; warning : string option }
   | Cache_saved of { dir : string; entries : int; warning : string option }
-  | Strategy_finished of { strategy : int; completed : bool; winner : bool }
   | Budget_exhausted of { reason : string }
   | Run_finished of {
       completed : bool;
@@ -56,7 +55,6 @@ let kind_name = function
   | Checkpoint_saved _ -> "checkpoint_saved"
   | Cache_loaded _ -> "cache_loaded"
   | Cache_saved _ -> "cache_saved"
-  | Strategy_finished _ -> "strategy_finished"
   | Budget_exhausted _ -> "budget_exhausted"
   | Run_finished _ -> "run_finished"
 
@@ -90,10 +88,6 @@ let to_string { at_s; payload } =
         match e.warning with
         | Some w -> Printf.sprintf "cache save to %s failed: %s" e.dir w
         | None -> Printf.sprintf "cache saved to %s (%d entries)" e.dir e.entries)
-    | Strategy_finished e ->
-        Printf.sprintf "strategy %d %s%s" e.strategy
-          (if e.completed then "completed" else "stopped")
-          (if e.winner then " (winner)" else "")
     | Budget_exhausted e -> Printf.sprintf "budget exhausted (%s)" e.reason
     | Run_finished e ->
         Printf.sprintf "run finished: %s, %d/%d contexts, %.2fs"
@@ -160,12 +154,6 @@ let to_json_value ({ at_s; payload } as _t) =
           ("dir", Json.String e.dir);
           ("entries", Json.Int e.entries);
           ("warning", match e.warning with Some w -> Json.String w | None -> Json.Null);
-        ]
-    | Strategy_finished e ->
-        [
-          ("strategy", Json.Int e.strategy);
-          ("completed", Json.Bool e.completed);
-          ("winner", Json.Bool e.winner);
         ]
     | Budget_exhausted e -> [ ("reason", Json.String e.reason) ]
     | Run_finished e ->

@@ -67,7 +67,7 @@ let sched_cache env = Session.sched_cache (Engine.session env.engine)
    sequences — so the per-family truncation in [best_of] also bounds
    generation work (nested resynthesis, RTL embedding), not just
    evaluation. All evaluation goes through the engine: memoized,
-   staged, batched over the worker pool. *)
+   two-stage, batched over the worker pool. *)
 type candidate = (kind * string) * Design.t
 
 let best_of env cur_value (candidates : candidate Seq.t) =

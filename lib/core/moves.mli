@@ -26,8 +26,8 @@
     variable-depth pass may accept them).
 
     Candidates are produced lazily and evaluated through the
-    environment's {!Engine.t} — memoized, staged and batched over the
-    worker pool — so [max_candidates] bounds generation work (nested
+    environment's {!Engine.t} — memoized, two-stage and batched over
+    the worker pool — so [max_candidates] bounds generation work (nested
     resynthesis, RTL embedding) as well as evaluation. *)
 
 module Design = Hsyn_rtl.Design

@@ -64,13 +64,11 @@ let rate num denom = if denom <= 0 then 0. else 100. *. Float.of_int num /. Floa
 
 let pp_counters ppf c =
   Format.fprintf ppf
-    "gen %d  eval %d  cache %d/%d (%.1f%% hit)  disk %d  evict %d  sims %d  skipped %d (%.1f%%)  batches %d  %.3fs"
+    "gen %d  eval %d  cache %d/%d (%.1f%% hit)  disk %d  evict %d  sims %d  batches %d  %.3fs"
     c.generated c.evaluated c.cache_hits
     (c.cache_hits + c.cache_misses)
     (rate c.cache_hits (c.cache_hits + c.cache_misses))
-    c.disk_hits c.evictions c.power_sims c.power_skipped
-    (rate c.power_skipped (c.power_sims + c.power_skipped))
-    c.batches c.wall_s
+    c.disk_hits c.evictions c.power_sims c.batches c.wall_s
 
 (* -- cost cache entries ------------------------------------------------- *)
 

@@ -23,12 +23,12 @@
     complete} than a fresh run would have produced at the same point —
     its power simulation may already be filled in by an earlier run.
     Completeness never changes a search decision (area objectives
-    ignore power; power-mode bound skipping is exact), and final
-    results are always fully evaluated, so results stay bit-identical.
+    ignore power; power mode simulates every candidate still missing
+    its power), and final results are always fully evaluated, so
+    results stay bit-identical.
 
-    The session is the unit ROADMAP item 1 ([hsyn serve]) shares
-    between concurrent requests and item 2's portfolio strategies race
-    over. *)
+    The session is the unit [hsyn serve] shares between concurrent
+    requests. *)
 
 module Design = Hsyn_rtl.Design
 module Sched = Hsyn_sched.Sched
@@ -47,7 +47,7 @@ type counters = {
   cache_misses : int;
   evictions : int;
   power_sims : int;
-  power_skipped : int;
+  power_skipped : int;  (** always 0; kept for readers of the record *)
   batches : int;
   disk_hits : int;  (** cache hits served by entries loaded from disk *)
   wall_s : float;

@@ -26,7 +26,6 @@ type config = {
   enable_rewrite : bool;
   clib_effort : Clib.effort;
   engine : Engine.policy;
-  strategy : int;
 }
 
 let default_config =
@@ -46,7 +45,6 @@ let default_config =
     enable_rewrite = true;
     clib_effort = Clib.default_effort;
     engine = Engine.default_policy;
-    strategy = 0;
   }
 
 module Config = struct
@@ -78,53 +76,7 @@ module Config = struct
       err "clib_effort.max_candidates must be positive"
     else if c.engine.Engine.jobs < 1 then err "engine.jobs must be at least 1"
     else if c.engine.Engine.cache_capacity < 0 then err "engine.cache_capacity must be >= 0"
-    else if c.strategy < 0 then err "strategy must be >= 0 (got %d)" c.strategy
     else Ok c
-
-  let make ?(max_moves = default.max_moves) ?(max_passes = default.max_passes)
-      ?(max_candidates = default.max_candidates) ?(trace_length = default.trace_length)
-      ?(trace_kind = default.trace_kind) ?(seed = default.seed)
-      ?(vdd_candidates = default.vdd_candidates) ?(clk_candidates = default.clk_candidates)
-      ?(max_clocks = default.max_clocks) ?(enable_resynth = default.enable_resynth)
-      ?(enable_embed = default.enable_embed) ?(enable_split = default.enable_split)
-      ?(enable_rewrite = default.enable_rewrite) ?(clib_effort = default.clib_effort) ?(engine = default.engine)
-      ?(strategy = default.strategy) () =
-    validate
-      {
-        max_moves;
-        max_passes;
-        max_candidates;
-        trace_length;
-        trace_kind;
-        seed;
-        vdd_candidates;
-        clk_candidates;
-        max_clocks;
-        enable_resynth;
-        enable_embed;
-        enable_split;
-        enable_rewrite;
-        clib_effort;
-        engine;
-        strategy;
-      }
-
-  let with_max_moves v t = { t with max_moves = v }
-  let with_max_passes v t = { t with max_passes = v }
-  let with_max_candidates v t = { t with max_candidates = v }
-  let with_trace_length v t = { t with trace_length = v }
-  let with_trace_kind v t = { t with trace_kind = v }
-  let with_seed v t = { t with seed = v }
-  let with_vdd_candidates v t = { t with vdd_candidates = v }
-  let with_clk_candidates v t = { t with clk_candidates = v }
-  let with_max_clocks v t = { t with max_clocks = v }
-  let with_resynth v t = { t with enable_resynth = v }
-  let with_embed v t = { t with enable_embed = v }
-  let with_split v t = { t with enable_split = v }
-  let with_rewrite v t = { t with enable_rewrite = v }
-  let with_clib_effort v t = { t with clib_effort = v }
-  let with_engine v t = { t with engine = v }
-  let with_strategy v t = { t with strategy = v }
 end
 
 let min_sampling_ns lib registry dfg =
@@ -157,26 +109,8 @@ module Request = struct
   let effective_dfg t =
     if t.flatten && Dfg.n_calls t.dfg > 0 then Flatten.flatten t.registry t.dfg else t.dfg
 
-  (* A deterministic permutation of the sweep order, indexed by
-     [config.strategy]: strategy 0 is the canonical order; strategy [s]
-     rotates the walk by [s mod n] contexts and reverses direction on
-     odd [s]. Every strategy visits the same context set, so every
-     {e completed} sweep finds the same optimal objective value — only
-     the walk order (and thus tie-breaking and anytime behavior)
-     differs. This is what {!portfolio} races. *)
-  let permute_strategy strategy l =
-    let n = List.length l in
-    if strategy <= 0 || n <= 1 then l
-    else
-      let arr = Array.of_list l in
-      let k = strategy mod n in
-      let pick i = arr.((i + k) mod n) in
-      List.init n (if strategy mod 2 = 1 then fun i -> pick (n - 1 - i) else pick)
-
   (* The deterministic (V_dd, clock period, deadline) walk order of the
-     sweep: the checkpoint cursor indexes into exactly this list (so a
-     checkpoint written under one [strategy] only resumes under the
-     same [strategy], like [seed]). *)
+     sweep: the checkpoint cursor indexes into exactly this list. *)
   let plan t =
     let config = t.config in
     let dfg = effective_dfg t in
@@ -200,7 +134,6 @@ module Request = struct
             (Clock.spread config.max_clocks clks)
         else [])
       vdds
-    |> permute_strategy config.strategy
 end
 
 type coverage = {
@@ -230,7 +163,7 @@ type result = {
 module Result = struct
   type t = result
 
-  let schema_version = 1
+  let schema_version = 2
 
   let counters_json (c : Engine.counters) =
     Json.Obj
@@ -241,7 +174,6 @@ module Result = struct
         ("cache_misses", Json.Int c.Engine.cache_misses);
         ("evictions", Json.Int c.Engine.evictions);
         ("power_sims", Json.Int c.Engine.power_sims);
-        ("power_skipped", Json.Int c.Engine.power_skipped);
         ("batches", Json.Int c.Engine.batches);
         ("disk_hits", Json.Int c.Engine.disk_hits);
         ("wall_s", Json.Float c.Engine.wall_s);
@@ -302,7 +234,6 @@ module Result = struct
                 Json.Obj
                   [
                     ("schedules", Json.Int r.stats.Pass.sched.Sched.schedules);
-                    ("legacy_schedules", Json.Int r.stats.Pass.sched.Sched.legacy_schedules);
                     ("events_popped", Json.Int r.stats.Pass.sched.Sched.events_popped);
                     ("prepared_hits", Json.Int r.stats.Pass.sched.Sched.prepared_hits);
                     ("prepared_builds", Json.Int r.stats.Pass.sched.Sched.prepared_builds);
@@ -695,96 +626,6 @@ let synthesize ?(events = Events.null) ?token ?checkpoint ?(resume = false) ?cac
               in
               finish_events (Some (Result.to_json_value r));
               Ok r))
-
-(* ------------------------------------------------------------------ *)
-(* Portfolio search (ROADMAP item 2): race [n] deterministic strategies
-   — the same request under [config.strategy], [strategy + 1], … — on
-   their own domains, all sharing one session memo table so every
-   evaluation any racer performs is immediately visible to the others.
-   Each strategy runs under its own token started from the request's
-   budget (a common deadline/quota envelope); the first to complete its
-   full sweep wins and cooperatively cancels the rest. A completed
-   sweep is bit-identical to that strategy run solo (the shared-session
-   guarantee of PR 6), so racing changes wall time, never results.
-   When no strategy completes (deadline or cancellation), the best
-   feasible partial result wins — documented best-effort. *)
-
-let portfolio ?(events = Events.null) ?token ?cache_dir ~n (req : Request.t) =
-  if n <= 1 then synthesize ~events ?token ?cache_dir req
-  else
-    match Config.validate req.Request.config with
-    | Error msg -> Error msg
-    | Ok config ->
-        let n = min n 16 in
-        let start_time = Unix.gettimeofday () in
-        let session =
-          match req.Request.session with Some s -> s | None -> Session.create ()
-        in
-        let elock = Mutex.create () in
-        let emit payload =
-          Mutex.lock elock;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock elock)
-            (fun () -> events { Events.at_s = Unix.gettimeofday () -. start_time; payload })
-        in
-        (match cache_dir with
-        | Some dir -> load_cache ~session ~config ~lib:req.Request.lib ~emit dir
-        | None -> ());
-        let tokens = Array.init n (fun _ -> Budget.start req.Request.budget) in
-        let winner = Atomic.make (-1) in
-        let forward i ev =
-          (* propagate a cancellation of the caller's token to this
-             racer; polled here because events fire at every pass and
-             context boundary *)
-          (match token with
-          | Some t when Budget.interrupted t <> None -> Budget.cancel tokens.(i)
-          | _ -> ());
-          Mutex.lock elock;
-          Fun.protect ~finally:(fun () -> Mutex.unlock elock) (fun () -> events ev)
-        in
-        let run_strategy i =
-          let config_i = { config with strategy = config.strategy + i } in
-          let req_i = { req with Request.config = config_i; session = Some session } in
-          let r =
-            try synthesize ~events:(forward i) ~token:tokens.(i) req_i
-            with e -> Error (Printexc.to_string e)
-          in
-          (match r with
-          | Ok res when res.completed ->
-              if Atomic.compare_and_set winner (-1) i then
-                Array.iteri (fun j tok -> if j <> i then Budget.cancel tok) tokens
-          | _ -> ());
-          r
-        in
-        let domains = List.init n (fun i -> Domain.spawn (fun () -> run_strategy i)) in
-        let results = Array.of_list (List.map Domain.join domains) in
-        let w = Atomic.get winner in
-        Array.iteri
-          (fun i r ->
-            let completed = match r with Ok res -> res.completed | Error _ -> false in
-            emit
-              (Events.Strategy_finished
-                 { strategy = config.strategy + i; completed; winner = i = w }))
-          results;
-        let picked =
-          if w >= 0 then results.(w)
-          else begin
-            (* best-at-deadline: the best feasible partial result,
-               earliest strategy on ties *)
-            let best = ref None in
-            Array.iteri
-              (fun i r ->
-                match r with
-                | Ok res -> (
-                    let v = Cost.objective_value res.objective res.eval in
-                    match !best with Some (_, bv) when bv <= v -> () | _ -> best := Some (i, v))
-                | Error _ -> ())
-              results;
-            match !best with Some (i, _) -> results.(i) | None -> results.(0)
-          end
-        in
-        (match cache_dir with Some dir -> save_cache ~session ~emit dir | None -> ());
-        picked
 
 let rescale_vdd ?(config = default_config) ?session (r : result) vdds =
   let rng = Rng.create config.seed in

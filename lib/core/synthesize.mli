@@ -14,12 +14,8 @@
     best feasible design found so far, with {!result.completed} and
     {!result.coverage} saying how much of the sweep ran. Progress is
     observable through {!Events} and interrupted sweeps are resumable
-    through {!Checkpoint}.
-
-    {!portfolio} races several deterministic variants of one request
-    (different sweep orders via {!config.strategy}) on a shared
-    session, first-to-complete wins; {!synthesize}'s [cache_dir] gives
-    runs a persistent warm start (see {!Session.save}). *)
+    through {!Checkpoint}. {!synthesize}'s [cache_dir] gives runs a
+    persistent warm start (see {!Session.save}). *)
 
 module Design = Hsyn_rtl.Design
 module Dfg = Hsyn_dfg.Dfg
@@ -42,73 +38,23 @@ type config = {
   enable_rewrite : bool;  (** allow move family E (algebraic rewriting) *)
   clib_effort : Clib.effort;
   engine : Engine.policy;
-      (** evaluation-engine policy (jobs, cache capacity, staging) used
-          by every improvement run of this synthesis *)
-  strategy : int;
-      (** deterministic permutation of the (vdd, clock) sweep order:
-          0 (default) is the canonical order; [s] rotates the walk by
-          [s] contexts, reversing direction on odd [s]. Every strategy
-          explores the same context set — {!portfolio} races
-          consecutive strategies *)
+      (** evaluation-engine policy (jobs, cache capacity) used by every
+          improvement run of this synthesis *)
 }
 
 val default_config : config
 
-(** Validated view of {!config}. [Config.t] {e is} [config] — existing
-    [{ default_config with … }] record updates keep working — but
-    {!Config.make} and {!Config.validate} reject nonsense (non-positive
-    quotas, an empty voltage set, …) before a run starts instead of
-    failing somewhere inside the sweep. *)
+(** Validated view of {!config}. [Config.t] {e is} [config]: build one
+    with a [{ default_config with … }] record update; {!Config.validate}
+    (which {!Request.make} runs) rejects nonsense (non-positive quotas,
+    an empty voltage set, …) before a run starts instead of failing
+    somewhere inside the sweep. *)
 module Config : sig
   type t = config
 
   val default : t
 
-  val make :
-    ?max_moves:int ->
-    ?max_passes:int ->
-    ?max_candidates:int ->
-    ?trace_length:int ->
-    ?trace_kind:Hsyn_eval.Trace.kind ->
-    ?seed:int ->
-    ?vdd_candidates:float list ->
-    ?clk_candidates:float list option ->
-    ?max_clocks:int ->
-    ?enable_resynth:bool ->
-    ?enable_embed:bool ->
-    ?enable_split:bool ->
-    ?enable_rewrite:bool ->
-    ?clib_effort:Clib.effort ->
-    ?engine:Engine.policy ->
-    ?strategy:int ->
-    unit ->
-    (t, string) result
-  (** Build and {!validate} in one step; unspecified fields come from
-      {!default}. *)
-
   val validate : t -> (t, string) result
-
-  (** Functional setters, for pipeline-style construction:
-      [Config.(default |> with_max_passes 2 |> with_seed 7)]. Setters
-      do not validate — run {!validate} (or go through {!make} /
-      {!Request.make}) once the chain is complete. *)
-
-  val with_max_moves : int -> t -> t
-  val with_max_passes : int -> t -> t
-  val with_max_candidates : int -> t -> t
-  val with_trace_length : int -> t -> t
-  val with_trace_kind : Hsyn_eval.Trace.kind -> t -> t
-  val with_seed : int -> t -> t
-  val with_vdd_candidates : float list -> t -> t
-  val with_clk_candidates : float list option -> t -> t
-  val with_max_clocks : int -> t -> t
-  val with_resynth : bool -> t -> t
-  val with_embed : bool -> t -> t
-  val with_split : bool -> t -> t
-  val with_rewrite : bool -> t -> t
-  val with_clib_effort : Clib.effort -> t -> t
-  val with_engine : Engine.policy -> t -> t
-  val with_strategy : int -> t -> t
 end
 
 val min_sampling_ns : Library.t -> Registry.t -> Dfg.t -> float
@@ -157,10 +103,8 @@ module Request : sig
 
   val plan : t -> (float * float * int) list
   (** The deterministic [(vdd, clk_ns, deadline_cycles)] walk order of
-      the sweep, after voltage pruning, clock spreading, and the
-      {!config.strategy} permutation. Checkpoint cursors index into
-      exactly this list, so checkpoints only resume under the same
-      strategy (like [seed]). *)
+      the sweep, after voltage pruning and clock spreading. Checkpoint
+      cursors index into exactly this list. *)
 end
 
 type coverage = {
@@ -233,28 +177,6 @@ val synthesize :
     returns [Ok] — check {!result.completed}. Resumed runs converge to
     bit-identical results with uninterrupted ones because checkpoints
     only store fully-finished contexts. *)
-
-val portfolio :
-  ?events:Events.sink ->
-  ?token:Budget.token ->
-  ?cache_dir:string ->
-  n:int ->
-  Request.t ->
-  (result, string) Stdlib.result
-(** Race [n] (clamped to 16; [n <= 1] degenerates to {!synthesize})
-    deterministic strategies of this request — {!config.strategy},
-    [strategy + 1], … [strategy + n - 1] — each on its own domain, all
-    sharing one memoization session (the request's, or a fresh one) so
-    racers reuse each other's evaluations. Each racer runs under its
-    own {!Budget} token started from the request's budget; the first to
-    {e complete} its full sweep wins and cancels the rest, so the
-    returned result is exactly what the winning strategy produces run
-    solo with the same seed (the shared-session bit-identity
-    guarantee). If no racer completes — deadline, quota, or a
-    cancellation of [token], which is propagated — the best feasible
-    partial result is returned (best-effort, like any interrupted
-    {!synthesize}). Emits {!Events.payload.Strategy_finished} per racer;
-    forwarded racer events interleave in wall-clock order. *)
 
 val rescale_vdd :
   ?config:config -> ?session:Session.t -> result -> Hsyn_modlib.Voltage.t list -> result

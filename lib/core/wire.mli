@@ -15,7 +15,10 @@
     values are reported as [Error] with the offending field named, so
     a daemon can answer with a typed {!error} instead of dying or
     guessing. All documents are versioned with {!schema_version};
-    field additions keep the version, renames/removals bump it. *)
+    field additions keep the version, renames/removals bump it.
+    Version 2 removed three version-1 fields (one each from the
+    request, the config and the engine policy); like any unknown
+    field, a removed one is rejected with its name in the error. *)
 
 module Dfg = Hsyn_dfg.Dfg
 module Registry = Hsyn_dfg.Registry
@@ -89,10 +92,6 @@ type doc = {
   flatten : bool;  (** the flattened baseline mode *)
   config : Synthesize.Config.t;
   budget : Budget.t;
-  portfolio : int;
-      (** race this many strategies via {!Synthesize.portfolio};
-          1 (default) is a plain single-strategy run. Serialized only
-          when [> 1], so existing documents are unchanged *)
   cache : string option;
       (** persistent cost-cache directory for warm starts. Honored by
           the CLI; the daemon ignores a client-supplied value (its
@@ -111,14 +110,12 @@ val make_doc :
   ?flatten:bool ->
   ?config:Synthesize.Config.t ->
   ?budget:Budget.t ->
-  ?portfolio:int ->
   ?cache:string ->
   ?tenant:string ->
   source ->
   doc
 (** Defaults: area objective, laxity 2.2, hierarchical mode, default
-    config, unlimited budget, portfolio 1, no cache directory, no
-    tenant. *)
+    config, unlimited budget, no cache directory, no tenant. *)
 
 val doc_to_json : doc -> Json.t
 (** One [{"kind":"hsyn.request","schema_version":…}] object — the

@@ -197,21 +197,6 @@ let or_transient = function
 let energy_per_sample ?sched_cache ctx cs design invocations =
   energy_rec (or_transient sched_cache) ~top:true ctx cs design invocations
 
-let energy_floor ctx (design : Design.t) ~makespan ~n_samples =
-  if n_samples <= 0 then 0.
-  else begin
-    (* the trace-independent charges of [energy_rec ~top:true]: the
-       controller plus the per-cycle register-clock and idle-switching
-       terms. Every remaining term is an activity sum scaled by a
-       non-negative capacitance, so this is a true lower bound. *)
-    let lib = ctx.Design.lib in
-    let cycles = Float.of_int (max 1 makespan) in
-    (lib.Library.ctrl_cap_per_cycle *. cycles
-    +. (lib.Library.reg_clock_cap *. Float.of_int (clocked_regs design) *. cycles)
-    +. (lib.Library.fu_idle_frac *. total_fu_cap design *. cycles))
-    /. Float.of_int n_samples
-  end
-
 let power ?sched_cache ctx cs design invocations ~sampling_ns =
   let e = energy_per_sample ?sched_cache ctx cs design invocations in
   e *. Hsyn_modlib.Voltage.energy_factor ctx.Design.vdd /. sampling_ns *. 1000.

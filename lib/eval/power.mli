@@ -32,15 +32,6 @@ val energy_per_sample :
     memoizes that work across calls — without it a transient cache
     scoped to this call is used. *)
 
-val energy_floor : Design.ctx -> Design.t -> makespan:int -> n_samples:int -> float
-(** Trace-independent lower bound on {!energy_per_sample} for a design
-    whose schedule has the given makespan, over a trace of [n_samples]
-    invocations: the controller, register-clocking and idle-switching
-    charges, which do not depend on data activity. The evaluation
-    engine's staged mode uses it to prove a candidate cannot beat the
-    incumbent without running the trace simulation. [0.] when
-    [n_samples <= 0] (the simulation then reports zero energy). *)
-
 val power :
   ?sched_cache:Sched.Cache.t ->
   Design.ctx ->

@@ -76,7 +76,7 @@ let check_roundtrip _rng (prog : Text.program) =
   compare "crlf" crlf
 
 (* ------------------------------------------------------------------ *)
-(* sched-diff: event-driven kernel ≡ legacy time-stepped kernel.      *)
+(* sched-diff: event-driven kernel ≡ reference time-stepped kernel.   *)
 
 let same_schedule (a : Sched.schedule) (b : Sched.schedule) =
   a.Sched.start = b.Sched.start && a.Sched.avail = b.Sched.avail
@@ -91,23 +91,21 @@ let check_sched_diff _rng (prog : Text.program) =
       | [] -> Ok ()
       | deadline :: rest ->
           let cs = Sched.relaxed ~deadline d.Design.dfg in
-          let legacy = Sched.schedule_legacy ctx cs d in
-          let prev = Sched.impl () in
-          Sched.set_impl Sched.Event;
-          let event = Fun.protect ~finally:(fun () -> Sched.set_impl prev) (fun () -> Sched.schedule ctx cs d) in
-          if not (same_schedule event legacy) then
+          let reference = Ref_sched.schedule ctx cs d in
+          let event = Sched.schedule ctx cs d in
+          if not (same_schedule event reference) then
             fail
-              "vdd=%g deadline=%d: kernels disagree (event makespan=%d feasible=%b, legacy \
+              "vdd=%g deadline=%d: kernels disagree (event makespan=%d feasible=%b, reference \
                makespan=%d feasible=%b)"
               ctx.Design.vdd deadline event.Sched.makespan event.Sched.feasible
-              legacy.Sched.makespan legacy.Sched.feasible
+              reference.Sched.makespan reference.Sched.feasible
           else
             (* follow up at the exact makespan and one cycle under it:
                the tight and the infeasible boundary are where the two
                kernels historically diverged *)
             let rest =
               if deadline > 1000 || rest <> [] then rest
-              else [ max 1 legacy.Sched.makespan; max 1 (legacy.Sched.makespan - 1) ]
+              else [ max 1 reference.Sched.makespan; max 1 (reference.Sched.makespan - 1) ]
             in
             at rest
     in
@@ -149,7 +147,7 @@ let check_engine_direct rng (prog : Text.program) =
   let dfg = d0.Design.dfg in
   let deadline =
     let cs = Sched.relaxed ~deadline:10000 dfg in
-    let s = Sched.schedule_legacy ctx cs d0 in
+    let s = Ref_sched.schedule ctx cs d0 in
     max 1 s.Sched.makespan + Rng.int rng 3
   in
   let cs = Sched.relaxed ~deadline dfg in
@@ -213,11 +211,18 @@ let check_engine_direct rng (prog : Text.program) =
 
 let small_request ?(jobs = 1) ~seed (prog : Text.program) =
   let top = Gen.top_graph prog in
-  let* config =
-    S.Config.make ~max_moves:8 ~max_passes:1 ~max_candidates:3 ~trace_length:4 ~seed
-      ~vdd_candidates:[ 5.0; 3.3 ] ~max_clocks:1
-      ~engine:{ Engine.default_policy with Engine.jobs }
-      ()
+  let config =
+    {
+      S.default_config with
+      S.max_moves = 8;
+      max_passes = 1;
+      max_candidates = 3;
+      trace_length = 4;
+      seed;
+      vdd_candidates = [ 5.0; 3.3 ];
+      max_clocks = 1;
+      engine = { Engine.default_policy with Engine.jobs };
+    }
   in
   let sampling_ns =
     2.5 *. Float.max 1.0 (S.min_sampling_ns Library.default prog.Text.registry top)
@@ -531,7 +536,7 @@ let check_rewrite rng (prog : Text.program) =
 let all =
   [
     { name = "roundtrip"; doc = "text print/parse round-trip (LF and CRLF)"; check = check_roundtrip };
-    { name = "sched-diff"; doc = "event-driven scheduler ≡ legacy kernel"; check = check_sched_diff };
+    { name = "sched-diff"; doc = "event-driven scheduler ≡ reference kernel"; check = check_sched_diff };
     {
       name = "engine-direct";
       doc = "evaluation engine ≡ direct cost evaluation; best_of ≡ sequential fold";

@@ -10,9 +10,10 @@
     The registered oracles:
     - [roundtrip] — [Text.to_string] then [parse_string] reproduces
       the program, for LF and CRLF line endings.
-    - [sched-diff] — the event-driven scheduler kernel and
-      [Sched.schedule_legacy] produce identical schedules, probed at a
-      relaxed deadline, the exact makespan, and one cycle below it.
+    - [sched-diff] — the production (event-driven) scheduler kernel
+      and the time-stepped reference kernel {!Ref_sched} produce
+      identical schedules, probed at a relaxed deadline, the exact
+      makespan, and one cycle below it.
     - [engine-direct] — [Engine.evaluate] (fresh and cached) is
       bit-identical to direct [Cost.evaluate], and [Engine.best_of]
       agrees with a sequential fold, for both objectives.

@@ -66,7 +66,6 @@ type family = {
   cache_hits : int;
   cache_misses : int;
   power_sims : int;
-  power_skipped : int;
 }
 
 type winner = {
@@ -204,7 +203,6 @@ let of_lines lines =
             cache_hits = c "engine.cache_hits";
             cache_misses = c "engine.cache_misses";
             power_sims = c "engine.power_sims";
-            power_skipped = c "engine.power_skipped";
           })
         fam_names
     in
@@ -332,7 +330,6 @@ let to_json (t : t) =
                    ("cache_hits", Json.Int f.cache_hits);
                    ("cache_misses", Json.Int f.cache_misses);
                    ("power_sims", Json.Int f.power_sims);
-                   ("power_skipped", Json.Int f.power_skipped);
                  ])
              t.families) );
       ("total_committed", Json.Int t.total_committed);
@@ -381,7 +378,7 @@ let render (t : t) =
   let tab =
     Table.create
       ~header:
-        [ "family"; "proposed"; "evaluated"; "committed"; "reverted"; "gain"; "cache hit%"; "sims skipped" ]
+        [ "family"; "proposed"; "evaluated"; "committed"; "reverted"; "gain"; "cache hit%" ]
   in
   List.iter
     (fun f ->
@@ -390,8 +387,6 @@ let render (t : t) =
         if probes = 0 then "-"
         else Printf.sprintf "%.1f" (100. *. Float.of_int f.cache_hits /. Float.of_int probes)
       in
-      let sims = f.power_sims + f.power_skipped in
-      let skipped = if sims = 0 then "-" else Printf.sprintf "%d/%d" f.power_skipped sims in
       Table.add_row tab
         [
           f.fam;
@@ -401,7 +396,6 @@ let render (t : t) =
           string_of_int f.reverted;
           Table.cell_f ~digits:3 f.gain;
           hitp;
-          skipped;
         ])
     t.families;
   Buffer.add_string buf (Table.render tab);

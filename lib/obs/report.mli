@@ -40,7 +40,6 @@ type family = {
   cache_hits : int;
   cache_misses : int;
   power_sims : int;
-  power_skipped : int;
 }
 
 type winner = {

@@ -21,35 +21,16 @@ type schedule = { start : int array; avail : int array; makespan : int; feasible
 let infinite_deadline = 1_000_000
 
 (* ------------------------------------------------------------------ *)
-(* Kernel selection.
-
-   The event-driven kernel is the default; HSYN_SCHED=legacy (or
-   [set_impl Legacy]) switches every entry point to the original
-   time-stepped kernel, which is kept verbatim below as the reference
-   for differential testing. *)
-
-type impl = Event | Legacy
-
-let impl_of_env () =
-  match Sys.getenv_opt "HSYN_SCHED" with Some "legacy" -> Legacy | _ -> Event
-
-let impl_ref = Atomic.make (impl_of_env ())
-let set_impl i = Atomic.set impl_ref i
-let impl () = Atomic.get impl_ref
-
-(* ------------------------------------------------------------------ *)
 (* Kernel counters *)
 
 type stats = {
   schedules : int;
-  legacy_schedules : int;
   events_popped : int;
   prepared_hits : int;
   prepared_builds : int;
 }
 
 let c_schedules = Atomic.make 0
-let c_legacy = Atomic.make 0
 let c_events = Atomic.make 0
 let c_prep_hits = Atomic.make 0
 let c_prep_builds = Atomic.make 0
@@ -57,19 +38,17 @@ let c_prep_builds = Atomic.make 0
 let stats () =
   {
     schedules = Atomic.get c_schedules;
-    legacy_schedules = Atomic.get c_legacy;
     events_popped = Atomic.get c_events;
     prepared_hits = Atomic.get c_prep_hits;
     prepared_builds = Atomic.get c_prep_builds;
   }
 
 let zero_stats =
-  { schedules = 0; legacy_schedules = 0; events_popped = 0; prepared_hits = 0; prepared_builds = 0 }
+  { schedules = 0; events_popped = 0; prepared_hits = 0; prepared_builds = 0 }
 
 let sub_stats a b =
   {
     schedules = a.schedules - b.schedules;
-    legacy_schedules = a.legacy_schedules - b.legacy_schedules;
     events_popped = a.events_popped - b.events_popped;
     prepared_hits = a.prepared_hits - b.prepared_hits;
     prepared_builds = a.prepared_builds - b.prepared_builds;
@@ -77,14 +56,13 @@ let sub_stats a b =
 
 let reset_stats () =
   Atomic.set c_schedules 0;
-  Atomic.set c_legacy 0;
   Atomic.set c_events 0;
   Atomic.set c_prep_hits 0;
   Atomic.set c_prep_builds 0
 
 let pp_stats fmt s =
-  Format.fprintf fmt "@[<v>[sched] schedules: %d (%d legacy), events popped: %d@,[sched] prepared contexts: %d hits / %d builds@]"
-    s.schedules s.legacy_schedules s.events_popped s.prepared_hits s.prepared_builds
+  Format.fprintf fmt "@[<v>[sched] schedules: %d, events popped: %d@,[sched] prepared contexts: %d hits / %d builds@]"
+    s.schedules s.events_popped s.prepared_hits s.prepared_builds
 
 (* ------------------------------------------------------------------ *)
 (* Prepared scheduling context: everything that depends only on the
@@ -155,11 +133,7 @@ module Dfg_id = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Job models.
-
-   The event kernel stores needs/outs as flat arrays over value ids;
-   the legacy kernel keeps its original list-of-ports representation
-   so it stays byte-for-byte the reference implementation. *)
+(* Job model: needs/outs are flat arrays over value ids. *)
 
 type ejob = {
   e_members : int array;  (* node ids executed by this job *)
@@ -170,24 +144,12 @@ type ejob = {
   e_outs : (int * int) array;  (* output value id, ready offset *)
 }
 
-type job = {
-  members : int list;
-  inst : int;
-  busy : int;
-  pipelined : bool;
-  needs : (Dfg.port * int) list;
-  outs : (int * int * int) list;  (* node, out port, ready offset *)
-}
-
 (* Profiles are requested for every module job of every scheduling
    call, and computing one schedules the module's part recursively —
-   memoize per (module identity, kernel, behavior, technology
-   context). The kernel is part of the key so the legacy reference
-   path never observes event-kernel-derived profiles. *)
+   memoize per (module identity, behavior, technology context). *)
 
 type profile_key = {
   pk_rm : Design.rtl_module;
-  pk_legacy : bool;
   pk_behavior : string;
   pk_vdd : Hsyn_modlib.Voltage.t;
   pk_clk_ns : float;
@@ -197,11 +159,11 @@ module Profile_key = struct
   type t = profile_key
 
   let equal a b =
-    a.pk_rm == b.pk_rm && a.pk_legacy = b.pk_legacy && a.pk_behavior = b.pk_behavior
-    && a.pk_vdd = b.pk_vdd && a.pk_clk_ns = b.pk_clk_ns
+    a.pk_rm == b.pk_rm && a.pk_behavior = b.pk_behavior && a.pk_vdd = b.pk_vdd
+    && a.pk_clk_ns = b.pk_clk_ns
 
   let hash k =
-    Hashtbl.hash (k.pk_rm.Design.rm_name, k.pk_legacy, k.pk_behavior, k.pk_vdd, k.pk_clk_ns)
+    Hashtbl.hash (k.pk_rm.Design.rm_name, k.pk_behavior, k.pk_vdd, k.pk_clk_ns)
 end
 
 module Prep_tbl = Shard_tbl.Make (Dfg_id)
@@ -250,32 +212,23 @@ let prepared_in (cache : Cache.t) dfg =
 let prepared_for ?cache dfg =
   match cache with Some c -> prepared_in c dfg | None -> Prepared.build dfg
 
-let rec module_profile_impl cache use_legacy ctx rm behavior =
+let rec profile_in cache ctx rm behavior =
   let key =
-    {
-      pk_rm = rm;
-      pk_legacy = use_legacy;
-      pk_behavior = behavior;
-      pk_vdd = ctx.Design.vdd;
-      pk_clk_ns = ctx.Design.clk_ns;
-    }
+    { pk_rm = rm; pk_behavior = behavior; pk_vdd = ctx.Design.vdd; pk_clk_ns = ctx.Design.clk_ns }
   in
   (* profiles are pure functions of the key; the builder recurses into
      this same cache for nested modules (always under different keys,
      the call graph is acyclic), which [find_or_build] permits because
      builders run outside the shard lock *)
   Prof_tbl.find_or_build cache.Cache.profiles key (fun _ ->
-      compute_module_profile cache use_legacy ctx rm behavior)
+      compute_module_profile cache ctx rm behavior)
 
-and compute_module_profile cache use_legacy ctx rm behavior =
+and compute_module_profile cache ctx rm behavior =
   let part = Design.module_part rm behavior in
   let dfg = part.Design.dfg in
   let cs = relaxed ~deadline:infinite_deadline dfg in
   let prep = prepared_in cache dfg in
-  let sch =
-    if use_legacy then schedule_legacy_rec cache ctx cs part
-    else schedule_event cache prep ctx cs part
-  in
+  let sch = schedule_event cache prep ctx cs part in
   let in_need =
     Array.map
       (fun input_id ->
@@ -366,7 +319,7 @@ and build_jobs_event cache (p : Prepared.t) ctx (d : Design.t) =
                 | Dfg.Call b -> b
                 | _ -> invalid_arg "Sched: non-call node on module instance"
               in
-              let prof = module_profile_impl cache false ctx rm behavior in
+              let prof = profile_in cache ctx rm behavior in
               let members = [| id |] in
               add_job
                 {
@@ -523,8 +476,7 @@ and schedule_event cache (p : Prepared.t) ctx (cs : constraints) (d : Design.t) 
     order;
   (* event-driven list scheduling: instead of scanning all jobs at
      every cycle, keep (a) a ready queue of startable jobs keyed so the
-     minimum pops the legacy winner — highest priority, lowest job
-     index — (b) a pending heap of jobs whose earliest start time lies
+     minimum pops the winner — highest priority, lowest job index — (b) a pending heap of jobs whose earliest start time lies
      in the future, and (c) a release heap of instance free times.
      Jobs popped while their instance is busy park on the instance and
      re-enter the ready queue at its next release. *)
@@ -553,7 +505,7 @@ and schedule_event cache (p : Prepared.t) ctx (cs : constraints) (d : Design.t) 
   let bound = total_busy + max_arrival + max_base + (3 * n_jobs) + 4 in
   (* ready keys are injective — priority major, job index minor — so
      the heap's insertion-order tie-break never engages and the pop
-     order exactly matches the legacy argmax scan *)
+     order exactly matches an argmax scan over all ready jobs *)
   let ready_key j = (-prio.(j) * n_jobs) + j in
   let ready = Pqueue.create () in
   let pending = Pqueue.create () in
@@ -674,332 +626,19 @@ and schedule_event cache (p : Prepared.t) ctx (cs : constraints) (d : Design.t) 
   end
 
 (* ------------------------------------------------------------------ *)
-(* Legacy kernel — the original time-stepped implementation, kept
-   verbatim as the reference for HSYN_SCHED=legacy differential
-   testing. *)
-
-and build_jobs_legacy cache ctx (d : Design.t) =
-  let dfg = d.Design.dfg in
-  let jobs = ref [] in
-  let add_job j = jobs := j :: !jobs in
-  let external_needs members need_of =
-    let in_members src = List.mem src members in
-    List.concat_map
-      (fun id ->
-        Array.to_list dfg.Dfg.nodes.(id).Dfg.ins
-        |> List.mapi (fun port src -> (port, src))
-        |> List.filter_map (fun (port, ({ Dfg.node = src; _ } as p)) ->
-               if in_members src then None else Some (p, need_of id port)))
-      members
-  in
-  Array.iteri
-    (fun i kind ->
-      let nodes = Design.nodes_on d i in
-      match kind, nodes with
-      | _, [] -> ()
-      | Design.Simple fu, nodes when Fu.is_chain fu ->
-          let latency = Fu.cycles_at fu ctx.Design.vdd ~clk_ns:ctx.Design.clk_ns in
-          add_job
-            {
-              members = nodes;
-              inst = i;
-              busy = latency;
-              pipelined = fu.Fu.pipelined;
-              needs = external_needs nodes (fun _ _ -> 0);
-              outs = List.map (fun id -> (id, 0, latency)) nodes;
-            }
-      | Design.Simple fu, nodes ->
-          let latency = Fu.cycles_at fu ctx.Design.vdd ~clk_ns:ctx.Design.clk_ns in
-          List.iter
-            (fun id ->
-              add_job
-                {
-                  members = [ id ];
-                  inst = i;
-                  busy = latency;
-                  pipelined = fu.Fu.pipelined;
-                  needs = external_needs [ id ] (fun _ _ -> 0);
-                  outs = [ (id, 0, latency) ];
-                })
-            nodes
-      | Design.Module rm, nodes ->
-          List.iter
-            (fun id ->
-              let behavior =
-                match dfg.Dfg.nodes.(id).Dfg.kind with
-                | Dfg.Call b -> b
-                | _ -> invalid_arg "Sched: non-call node on module instance"
-              in
-              let p = module_profile_impl cache true ctx rm behavior in
-              add_job
-                {
-                  members = [ id ];
-                  inst = i;
-                  busy = max 1 p.busy;
-                  pipelined = false;
-                  needs = external_needs [ id ] (fun _ port -> p.in_need.(port));
-                  outs =
-                    List.init dfg.Dfg.nodes.(id).Dfg.n_out (fun j -> (id, j, p.out_ready.(j)));
-                })
-            nodes)
-    d.Design.insts;
-  Array.of_list (List.rev !jobs)
-
-and schedule_legacy_rec cache ctx (cs : constraints) (d : Design.t) =
-  let dfg = d.Design.dfg in
-  let n_nodes = Array.length dfg.Dfg.nodes in
-  let nv = Design.n_values dfg in
-  let jobs = build_jobs_legacy cache ctx d in
-  let n_jobs = Array.length jobs in
-  let job_of_node = Array.make n_nodes (-1) in
-  Array.iteri (fun j job -> List.iter (fun id -> job_of_node.(id) <- j) job.members) jobs;
-  (* sanity: every op/call node must belong to a job *)
-  Array.iteri
-    (fun id (node : Dfg.node) ->
-      match node.Dfg.kind with
-      | Dfg.Op _ | Dfg.Call _ ->
-          if job_of_node.(id) < 0 then
-            invalid_arg (Printf.sprintf "Sched: node %s is unbound" node.Dfg.label)
-      | Dfg.Input | Dfg.Output | Dfg.Const _ | Dfg.Delay _ -> ())
-    dfg.Dfg.nodes;
-  let avail = Array.make nv (-1) in
-  Array.iteri
-    (fun pos input_id -> avail.(Design.value_index dfg { Dfg.node = input_id; out = 0 }) <- cs.input_arrival.(pos))
-    dfg.Dfg.inputs;
-  Array.iteri
-    (fun id (node : Dfg.node) ->
-      match node.Dfg.kind with
-      | Dfg.Const _ | Dfg.Delay _ -> avail.(Design.value_index dfg { Dfg.node = id; out = 0 }) <- 0
-      | Dfg.Input | Dfg.Output | Dfg.Op _ | Dfg.Call _ -> ())
-    dfg.Dfg.nodes;
-  (* priorities: longest path to sink over the job DAG *)
-  let succs = Array.make n_jobs [] in
-  let preds_remaining = Array.make n_jobs 0 in
-  Array.iteri
-    (fun j job ->
-      List.iter
-        (fun (({ Dfg.node = src; _ } : Dfg.port), _) ->
-          let pj = job_of_node.(src) in
-          if pj >= 0 && pj <> j then begin
-            succs.(pj) <- j :: succs.(pj);
-            preds_remaining.(j) <- preds_remaining.(j) + 1
-          end)
-        job.needs)
-    jobs;
-  let base_est = Array.make n_jobs 0 in
-  let anti_in = Array.make n_jobs [] in
-  let add_anti ~pred ~job ~gap =
-    if pred <> job then begin
-      anti_in.(job) <- (pred, gap) :: anti_in.(job);
-      succs.(pred) <- job :: succs.(pred);
-      preds_remaining.(job) <- preds_remaining.(job) + 1
-    end
-  in
-  let topo_pos =
-    let order = Dfg.topo_order dfg in
-    let pos = Array.make n_nodes 0 in
-    Array.iteri (fun idx id -> pos.(id) <- idx) order;
-    pos
-  in
-  let out_off_of j value =
-    let ({ Dfg.node; out } : Dfg.port) = Design.value_of_index dfg value in
-    let rec find = function
-      | [] -> 0
-      | (n, o, off) :: rest -> if n = node && o = out then off else find rest
-    in
-    find jobs.(j).outs
-  in
-  (* read times of a value, as (job reader, need offset) or a constant
-     cycle for output/delay consumers (their read = availability) *)
-  let readers_of value =
-    let p = Design.value_of_index dfg value in
-    let acc = ref [] in
-    Array.iteri
-      (fun dst (node : Dfg.node) ->
-        Array.iteri
-          (fun port src ->
-            if src = p then
-              match node.Dfg.kind with
-              | Dfg.Output | Dfg.Delay _ -> acc := `At_avail :: !acc
-              | _ ->
-                  let j = job_of_node.(dst) in
-                  if j >= 0 then begin
-                    let need =
-                      List.fold_left
-                        (fun found (q, n) -> if q = p && n > found then n else found)
-                        0 jobs.(j).needs
-                    in
-                    ignore port;
-                    acc := `Reader (j, need) :: !acc
-                  end)
-          node.Dfg.ins)
-      dfg.Dfg.nodes;
-    !acc
-  in
-  for r = 0 to d.Design.n_regs - 1 do
-    let values =
-      Design.values_in_reg d r
-      |> List.sort (fun a b ->
-             let pa = (Design.value_of_index dfg a).Dfg.node in
-             let pb = (Design.value_of_index dfg b).Dfg.node in
-             compare (topo_pos.(pa), a) (topo_pos.(pb), b))
-    in
-    let rec pairs = function
-      | v1 :: (v2 :: _ as rest) ->
-          let writer2 =
-            let ({ Dfg.node; _ } : Dfg.port) = Design.value_of_index dfg v2 in
-            job_of_node.(node)
-          in
-          let off2 = if writer2 >= 0 then out_off_of writer2 v2 else 0 in
-          if writer2 >= 0 then
-            List.iter
-              (fun reader ->
-                match reader with
-                | `Reader (j, need) -> add_anti ~pred:j ~job:writer2 ~gap:(need + 1 - off2)
-                | `At_avail -> (
-                    let ({ Dfg.node = p1; _ } : Dfg.port) = Design.value_of_index dfg v1 in
-                    let j1 = job_of_node.(p1) in
-                    if j1 >= 0 then
-                      add_anti ~pred:j1 ~job:writer2 ~gap:(out_off_of j1 v1 + 1 - off2)
-                    else
-                      base_est.(writer2) <-
-                        max base_est.(writer2) (avail.(v1) + 1 - off2)))
-              (readers_of v1)
-          else ();
-          pairs rest
-      | _ -> []
-    in
-    ignore (pairs values)
-  done;
-  let weight job = List.fold_left (fun acc (_, _, off) -> max acc off) job.busy job.outs in
-  let prio = Array.make n_jobs 0 in
-  let order =
-    let indeg = Array.copy preds_remaining in
-    let q = Queue.create () in
-    Array.iteri (fun j c -> if c = 0 then Queue.add j q) indeg;
-    let out = ref [] in
-    while not (Queue.is_empty q) do
-      let j = Queue.pop q in
-      out := j :: !out;
-      List.iter
-        (fun s ->
-          indeg.(s) <- indeg.(s) - 1;
-          if indeg.(s) = 0 then Queue.add s q)
-        succs.(j)
-    done;
-    !out
-  in
-  List.iter
-    (fun j ->
-      let best_succ = List.fold_left (fun acc s -> max acc prio.(s)) 0 succs.(j) in
-      prio.(j) <- weight jobs.(j) + best_succ)
-    order;
-  (* list scheduling, time stepped *)
-  let start_of_job = Array.make n_jobs (-1) in
-  let est = Array.make n_jobs (-1) in
-  let free_from = Array.make (Array.length d.Design.insts) 0 in
-  let compute_est j =
-    let data =
-      List.fold_left
-        (fun acc (p, need) ->
-          let a = avail.(Design.value_index dfg p) in
-          assert (a >= 0);
-          max acc (a - need))
-        base_est.(j) jobs.(j).needs
-    in
-    List.fold_left
-      (fun acc (pred, gap) ->
-        assert (start_of_job.(pred) >= 0);
-        max acc (start_of_job.(pred) + gap))
-      data anti_in.(j)
-  in
-  Array.iteri (fun j c -> if c = 0 then est.(j) <- compute_est j) preds_remaining;
-  let unscheduled = ref n_jobs in
-  let total_busy = Array.fold_left (fun acc job -> acc + job.busy) 0 jobs in
-  let max_arrival = Array.fold_left max 0 cs.input_arrival in
-  let max_base = Array.fold_left max 0 base_est in
-  let bound = total_busy + max_arrival + max_base + (3 * n_jobs) + 4 in
-  let t = ref 0 in
-  while !unscheduled > 0 && !t <= bound do
-    let rec fire () =
-      let best = ref (-1) in
-      for j = 0 to n_jobs - 1 do
-        if start_of_job.(j) < 0 && est.(j) >= 0 && est.(j) <= !t && free_from.(jobs.(j).inst) <= !t
-        then if !best < 0 || prio.(j) > prio.(!best) then best := j
-      done;
-      if !best >= 0 then begin
-        let j = !best in
-        let job = jobs.(j) in
-        start_of_job.(j) <- !t;
-        decr unscheduled;
-        free_from.(job.inst) <- !t + (if job.pipelined then 1 else job.busy);
-        List.iter
-          (fun (node, out, off) -> avail.(Design.value_index dfg { Dfg.node; out }) <- !t + off)
-          job.outs;
-        List.iter
-          (fun s ->
-            preds_remaining.(s) <- preds_remaining.(s) - 1;
-            if preds_remaining.(s) = 0 then est.(s) <- compute_est s)
-          succs.(j);
-        fire ()
-      end
-    in
-    fire ();
-    incr t
-  done;
-  Atomic.incr c_schedules;
-  Atomic.incr c_legacy;
-  if !unscheduled > 0 then
-    { start = Array.make n_nodes (-1); avail; makespan = bound; feasible = false }
-  else begin
-    let start = Array.make n_nodes (-1) in
-    Array.iteri (fun j job -> List.iter (fun id -> start.(id) <- start_of_job.(j)) job.members) jobs;
-    let makespan = ref 0 in
-    Array.iteri
-      (fun j job ->
-        makespan := max !makespan (start_of_job.(j) + weight job))
-      jobs;
-    let consume_time id =
-      let src = dfg.Dfg.nodes.(id).Dfg.ins.(0) in
-      avail.(Design.value_index dfg src)
-    in
-    Array.iteri
-      (fun id (node : Dfg.node) ->
-        match node.Dfg.kind with
-        | Dfg.Output | Dfg.Delay _ -> makespan := max !makespan (consume_time id)
-        | Dfg.Input | Dfg.Const _ | Dfg.Op _ | Dfg.Call _ -> ())
-      dfg.Dfg.nodes;
-    let outputs_ok =
-      match cs.output_deadline with
-      | None -> true
-      | Some deadlines ->
-          Array.for_all2 (fun output_id dl -> consume_time output_id <= dl) dfg.Dfg.outputs deadlines
-    in
-    let feasible = !makespan <= cs.deadline && outputs_ok in
-    { start; avail; makespan = !makespan; feasible }
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Public entry points *)
 
-let module_profile ?cache ctx rm behavior =
-  module_profile_impl (or_transient cache) (Atomic.get impl_ref = Legacy) ctx rm behavior
-
-let schedule_legacy ?cache ctx (cs : constraints) (d : Design.t) =
-  schedule_legacy_rec (or_transient cache) ctx cs d
+let module_profile ?cache ctx rm behavior = profile_in (or_transient cache) ctx rm behavior
 
 let schedule ?cache ?prepared ctx (cs : constraints) (d : Design.t) =
   Span.span Span.Schedule "schedule" (fun () ->
-      match Atomic.get impl_ref with
-      | Legacy -> schedule_legacy_rec (or_transient cache) ctx cs d
-      | Event ->
-          let cache = or_transient cache in
-          let p =
-            match prepared with
-            | Some p when Prepared.dfg p == d.Design.dfg -> p
-            | _ -> prepared_in cache d.Design.dfg
-          in
-          schedule_event cache p ctx cs d)
+      let cache = or_transient cache in
+      let p =
+        match prepared with
+        | Some p when Prepared.dfg p == d.Design.dfg -> p
+        | _ -> prepared_in cache d.Design.dfg
+      in
+      schedule_event cache p ctx cs d)
 
 (* ------------------------------------------------------------------ *)
 (* ALAP (infinite resources) *)

@@ -46,18 +46,6 @@ type schedule = {
   feasible : bool;  (** deadline and per-output deadlines met *)
 }
 
-(** {1 Kernel selection}
-
-    The event-driven kernel is the default. The original time-stepped
-    kernel is kept verbatim and selectable — [HSYN_SCHED=legacy] in the
-    environment at startup, or {!set_impl} at runtime — so differential
-    tests can prove the two produce bit-identical schedules. *)
-
-type impl = Event | Legacy
-
-val impl : unit -> impl
-val set_impl : impl -> unit
-
 (** {1 Prepared scheduling contexts}
 
     Everything the scheduler needs that depends only on the DFG (value
@@ -80,7 +68,7 @@ val prepare : Dfg.t -> Prepared.t
 
     The scheduler keeps no global mutable cache state. All memoization
     — prepared contexts keyed by graph physical identity, module
-    profiles keyed by (module, kernel, behavior, vdd, clock) — lives in
+    profiles keyed by (module, behavior, vdd, clock) — lives in
     an explicit {!Cache.t} owned by the caller (in practice a
     synthesis session, see [Hsyn_core.Session]) and passed to every
     entry point. Entry points called without a cache allocate a
@@ -112,8 +100,8 @@ val prepared_for : ?cache:Cache.t -> Dfg.t -> Prepared.t
 val module_profile : ?cache:Cache.t -> Design.ctx -> Design.rtl_module -> string -> profile
 (** Profile of a module for one behavior, derived by scheduling the
     corresponding part with all inputs at 0 (recursively through
-    nested modules). Memoized per (module, kernel, behavior, vdd,
-    clock) in the given cache; domain-safe. *)
+    nested modules). Memoized per (module, behavior, vdd, clock) in
+    the given cache; domain-safe. *)
 
 val schedule :
   ?cache:Cache.t -> ?prepared:Prepared.t -> Design.ctx -> constraints -> Design.t -> schedule
@@ -124,16 +112,11 @@ val schedule :
     @raise Invalid_argument if the binding is structurally unusable
     (e.g. an unbound operation). *)
 
-val schedule_legacy : ?cache:Cache.t -> Design.ctx -> constraints -> Design.t -> schedule
-(** The original time-stepped kernel, regardless of {!impl}. Reference
-    implementation for differential tests. *)
-
 (** {1 Kernel counters} *)
 
 type stats = {
-  schedules : int;  (** scheduling calls, either kernel, incl. module parts *)
-  legacy_schedules : int;  (** subset served by the legacy kernel *)
-  events_popped : int;  (** queue pops inside the event kernel *)
+  schedules : int;  (** scheduling calls, incl. module parts *)
+  events_popped : int;  (** queue pops inside the kernel *)
   prepared_hits : int;  (** prepared-context cache hits *)
   prepared_builds : int;  (** prepared-context builds *)
 }

@@ -418,14 +418,8 @@ let handle_conn (t : t) worker_id ~id ~queue_wait_ms fd =
                   in
                   (* [doc.cache] is deliberately ignored: the daemon's
                      persistent cache location is operator-controlled
-                     ([hsyn serve --cache]), never client-controlled.
-                     [doc.portfolio] is honored, clamped so one request
-                     cannot fan out unboundedly on top of the worker pool. *)
-                  (match
-                     (if doc.Wire.portfolio > 1 then
-                        Synthesize.portfolio ~events ~token ~n:(min doc.Wire.portfolio 4) req
-                      else Synthesize.synthesize ~events ~token req)
-                   with
+                     ([hsyn serve --cache]), never client-controlled. *)
+                  (match Synthesize.synthesize ~events ~token req with
                   | Ok r ->
                       Atomic.incr t.completed;
                       Metrics.incr t.c_completed;
@@ -657,11 +651,7 @@ let solo_final ?session cfg doc =
   match Wire.to_request ?session ~resolve_bench:cfg.resolve_bench ~lib:cfg.lib doc with
   | Error msg -> error_line Wire.Bad_request msg
   | Ok req -> (
-      match
-        (if doc.Wire.portfolio > 1 then
-           Synthesize.portfolio ~n:(min doc.Wire.portfolio 4) req
-         else Synthesize.synthesize req)
-      with
+      match Synthesize.synthesize req with
       | Ok r -> Synthesize.Result.to_json r
       | Error msg -> error_line Wire.Failed msg)
 

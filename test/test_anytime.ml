@@ -45,19 +45,21 @@ let request ?budget ?(objective = Cost.Power) (b : Suite.t) =
 (* validation *)
 
 let test_config_validation () =
-  checkb "default valid" true (Result.is_ok (S.Config.validate S.default_config));
-  checkb "make defaults" true (Result.is_ok (S.Config.make ()));
-  checkb "non-positive moves" true
-    (Result.is_error (S.Config.make ~max_moves:0 ()));
-  checkb "non-positive passes" true (Result.is_error (S.Config.make ~max_passes:(-1) ()));
-  checkb "empty vdds" true (Result.is_error (S.Config.make ~vdd_candidates:[] ()));
-  checkb "negative vdd" true (Result.is_error (S.Config.make ~vdd_candidates:[ -3.3 ] ()));
-  checkb "empty clk list" true (Result.is_error (S.Config.make ~clk_candidates:(Some []) ()));
-  checkb "setters compose" true
-    (Result.is_ok
-       S.Config.(default |> with_max_passes 2 |> with_seed 7 |> validate));
-  checkb "setters then validate catches" true
-    (Result.is_error S.Config.(default |> with_max_moves 0 |> validate))
+  let validate = S.Config.validate in
+  let d = S.default_config in
+  checkb "default valid" true (Result.is_ok (validate d));
+  checkb "record update valid" true
+    (Result.is_ok (validate { d with S.max_passes = 2; seed = 7 }));
+  checkb "non-positive moves" true (Result.is_error (validate { d with S.max_moves = 0 }));
+  checkb "non-positive passes" true (Result.is_error (validate { d with S.max_passes = -1 }));
+  checkb "empty vdds" true (Result.is_error (validate { d with S.vdd_candidates = [] }));
+  checkb "negative vdd" true (Result.is_error (validate { d with S.vdd_candidates = [ -3.3 ] }));
+  checkb "empty clk list" true (Result.is_error (validate { d with S.clk_candidates = Some [] }));
+  let b = Suite.test1 () in
+  checkb "request validates its config" true
+    (Result.is_error
+       (S.Request.make ~config:{ d with S.max_moves = 0 } ~lib ~registry:b.Suite.registry
+          ~dfg:b.Suite.dfg ~objective:Cost.Area ~sampling_ns:100. ()))
 
 let test_request_validation () =
   let b = Suite.test1 () in
@@ -388,7 +390,9 @@ let test_result_json () =
     let rec go i = i + nn <= nh && (String.sub s i nn = needle || go (i + 1)) in
     go 0
   in
-  checkb "has schema version" true (contains "\"schema_version\":1");
+  checkb "has schema version" true
+    (contains (Printf.sprintf "\"schema_version\":%d" S.Result.schema_version));
+  checki "result schema version" 2 S.Result.schema_version;
   checkb "has coverage" true (contains "\"coverage\"");
   checkb "has fingerprint" true (contains "\"fingerprint\"");
   checkb "completed" true (contains "\"completed\":true")

@@ -1,10 +1,11 @@
-(* Tests for the staged, memoized, parallel evaluation engine and its
-   supporting pieces (worker pool, fingerprinting, order statistics).
+(* Tests for the two-stage, memoized, parallel evaluation engine and
+   its supporting pieces (worker pool, fingerprinting, order
+   statistics).
 
    The central property: the engine is an optimization of the cost
    oracle, never a change to it. Every result must be bit-identical to
    a direct Cost.evaluate call, for both objectives, at any jobs
-   count, with the cache and staging on or off. *)
+   count, with the cache on or off. *)
 
 module Design = Hsyn_rtl.Design
 module Dfg = Hsyn_dfg.Dfg
@@ -195,28 +196,31 @@ let test_engine_random_graphs () =
               let eng, direct = mk_engine ~policy ~objective d in
               checkb "policy-independent" true (same_eval (Engine.evaluate eng d) (direct d)))
             [
-              { Engine.jobs = 1; cache_capacity = 0; staged = false };
-              { Engine.jobs = 4; cache_capacity = 64; staged = true };
+              { Engine.jobs = 1; cache_capacity = 0 };
+              { Engine.jobs = 4; cache_capacity = 64 };
             ])
         [ Cost.Area; Cost.Power ])
     (List.init 8 succ)
+
+(* Every single-unit swap of [d]: pairwise distinct designs. *)
+let unit_variants (d : Design.t) =
+  List.concat
+    (List.init
+       (Array.length d.Design.insts)
+       (fun i ->
+         match d.Design.insts.(i) with
+         | Design.Simple fu ->
+             List.map
+               (fun alt -> Design.with_inst d i (Design.Simple alt))
+               (Library.alternatives Library.default fu)
+         | Design.Module _ -> []))
 
 (* [best_of] against a sequential reference fold over the same
    candidates (earliest-wins tie-breaking, full evaluation of every
    candidate). *)
 let test_best_of_matches_reference () =
   let d = Tu.initial ctx (Tu.small_graph ()) in
-  let lib = Library.default in
-  let variants =
-    List.concat
-      (List.init
-         (Array.length d.Design.insts)
-         (fun i ->
-           match d.Design.insts.(i) with
-           | Design.Simple fu ->
-               List.map (fun alt -> Design.with_inst d i (Design.Simple alt)) (Library.alternatives lib fu)
-           | Design.Module _ -> []))
-  in
+  let variants = unit_variants d in
   checkb "have variants" true (List.length variants > 2);
   List.iter
     (fun objective ->
@@ -252,11 +256,33 @@ let test_best_of_matches_reference () =
                 checkb "winner power bits" true
                   (Int64.bits_of_float e.Cost.power = Int64.bits_of_float re.Cost.power))
         [
-          { Engine.jobs = 1; cache_capacity = 0; staged = false };
-          { Engine.jobs = 1; cache_capacity = 128; staged = true };
-          { Engine.jobs = 4; cache_capacity = 128; staged = true };
+          { Engine.jobs = 1; cache_capacity = 0 };
+          { Engine.jobs = 1; cache_capacity = 128 };
+          { Engine.jobs = 4; cache_capacity = 128 };
         ])
     [ Cost.Area; Cost.Power ]
+
+(* In power mode a batch simulates each feasible cache miss exactly
+   once: no bound skips any, infeasible candidates and already
+   simulated cache hits are never simulated. The deadline is the
+   initial design's own makespan, so slower unit swaps are infeasible. *)
+let test_power_sims_are_feasible_misses () =
+  let d = Tu.initial ctx (Tu.small_graph ()) in
+  let deadline = (Sched.schedule ctx (Sched.relaxed ~deadline:1000 d.Design.dfg) d).Sched.makespan in
+  let eng, direct = mk_engine ~objective:Cost.Power ~deadline d in
+  ignore (Engine.evaluate eng d : Cost.eval);
+  let before = Engine.counters eng in
+  let variants = unit_variants d in
+  let batch = List.mapi (fun i v -> (i, v)) (d :: variants) in
+  ignore (Engine.best_of eng ~limit:max_int (List.to_seq batch));
+  let delta = Engine.sub (Engine.counters eng) before in
+  let feasible = List.filter (fun v -> (direct ~with_power:false v).Cost.feasible) variants in
+  checkb "some variants feasible" true (feasible <> []);
+  checkb "some variants infeasible" true (List.length feasible < List.length variants);
+  checki "every variant is a miss" (List.length variants) delta.Engine.cache_misses;
+  checki "the simulated design is a hit" 1 delta.Engine.cache_hits;
+  checki "one simulation per feasible miss" (List.length feasible) delta.Engine.power_sims;
+  checki "nothing skipped" 0 delta.Engine.power_skipped
 
 let test_best_of_limit_and_counters () =
   let d = Tu.initial ctx (Tu.small_graph ()) in
@@ -283,7 +309,7 @@ let test_best_of_limit_and_counters () =
 let test_cache_eviction () =
   let designs = List.init 5 (fun s -> Tu.initial ctx (Tu.random_flat_graph (100 + s) ~n_inputs:2 ~n_ops:6)) in
   let eng, _ =
-    mk_engine ~policy:{ Engine.jobs = 1; cache_capacity = 2; staged = true } (List.hd designs)
+    mk_engine ~policy:{ Engine.jobs = 1; cache_capacity = 2 } (List.hd designs)
   in
   List.iter (fun d -> ignore (Engine.evaluate eng d)) designs;
   checkb "capacity respected" true (Engine.cache_size eng <= 2);
@@ -336,9 +362,9 @@ let test_synthesis_determinism () =
     in
     r.S.eval
   in
-  let direct = run { Engine.jobs = 1; cache_capacity = 0; staged = false } in
-  let seq = run { Engine.jobs = 1; cache_capacity = 4096; staged = true } in
-  let par = run { Engine.jobs = 4; cache_capacity = 4096; staged = true } in
+  let direct = run { Engine.jobs = 1; cache_capacity = 0 } in
+  let seq = run { Engine.jobs = 1; cache_capacity = 4096 } in
+  let par = run { Engine.jobs = 4; cache_capacity = 4096 } in
   checkb "engine-on equals direct" true (same_eval direct seq);
   checkb "jobs=4 equals jobs=1" true (same_eval seq par)
 
@@ -365,6 +391,7 @@ let () =
           tc "random graphs, all policies" test_engine_random_graphs;
           tc "best_of matches reference" test_best_of_matches_reference;
           tc "limit and counters" test_best_of_limit_and_counters;
+          tc "power sims are feasible misses" test_power_sims_are_feasible_misses;
           tc "cache eviction" test_cache_eviction;
           tc "family counters" test_family_counters;
         ] );

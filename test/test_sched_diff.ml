@@ -1,11 +1,13 @@
 (* Differential tests: the event-driven scheduler kernel must be
-   bit-identical to the original time-stepped kernel. Every built-in
-   benchmark is scheduled at several deadlines and under several
-   technology contexts, full synthesis is run once per kernel per
-   objective, and ALAP is checked against ASAP. *)
+   bit-identical to the time-stepped reference kernel
+   ([Hsyn_fuzz.Ref_sched]). Every built-in benchmark is scheduled at
+   several deadlines and under several technology contexts, the winners
+   of full synthesis runs are re-checked against the reference, and
+   ALAP is checked against ASAP. *)
 
 module Design = Hsyn_rtl.Design
 module Sched = Hsyn_sched.Sched
+module Ref_sched = Hsyn_fuzz.Ref_sched
 module Dfg = Hsyn_dfg.Dfg
 module Cost = Hsyn_core.Cost
 module Clib = Hsyn_core.Clib
@@ -18,13 +20,6 @@ let checki = Alcotest.check Alcotest.int
 
 let lib = Library.default
 
-(* Run [f] with the process-wide kernel forced to [impl], restoring
-   the previous selection afterwards (tests share one process). *)
-let with_impl impl f =
-  let prev = Sched.impl () in
-  Sched.set_impl impl;
-  Fun.protect ~finally:(fun () -> Sched.set_impl prev) f
-
 let check_same_schedule what (a : Sched.schedule) (b : Sched.schedule) =
   checkb (what ^ ": feasible") a.Sched.feasible b.Sched.feasible;
   checki (what ^ ": makespan") a.Sched.makespan b.Sched.makespan;
@@ -36,13 +31,13 @@ let check_same_schedule what (a : Sched.schedule) (b : Sched.schedule) =
    exercised both with and without an explicitly prepared context. *)
 let diff_schedule what ctx d ~deadline =
   let cs = Sched.relaxed ~deadline d.Design.dfg in
-  let legacy = with_impl Sched.Legacy (fun () -> Sched.schedule_legacy ctx cs d) in
-  let event = with_impl Sched.Event (fun () -> Sched.schedule ctx cs d) in
+  let reference = Ref_sched.schedule ctx cs d in
+  let event = Sched.schedule ctx cs d in
   let prepared = Sched.prepared_for d.Design.dfg in
-  let event_p = with_impl Sched.Event (fun () -> Sched.schedule ~prepared ctx cs d) in
-  check_same_schedule (what ^ " event") event legacy;
-  check_same_schedule (what ^ " event+prepared") event_p legacy;
-  legacy
+  let event_p = Sched.schedule ~prepared ctx cs d in
+  check_same_schedule (what ^ " event") event reference;
+  check_same_schedule (what ^ " event+prepared") event_p reference;
+  reference
 
 (* Every built-in benchmark, three deadlines (relaxed, exactly the
    relaxed makespan, and one cycle tighter — usually infeasible), two
@@ -84,9 +79,10 @@ let test_alap_vs_asap () =
         alap)
     (Suite.all ())
 
-(* Full synthesis under each kernel must converge to the same design:
-   same deadline, same committed-move sequence, same area/power. The
-   config is small so the whole matrix runs in seconds. *)
+(* The winner of a full synthesis run — a design shaped by every move
+   family, with nested complex modules — must schedule identically
+   under both kernels at its own deadline. The config is small so the
+   whole matrix runs in seconds. *)
 let config =
   {
     S.default_config with
@@ -98,49 +94,34 @@ let config =
     clib_effort = { Clib.default_effort with Clib.max_moves = 3; max_passes = 1 };
   }
 
-let synth impl (b : Suite.t) objective =
-  with_impl impl (fun () ->
-      let min_ns = S.min_sampling_ns lib b.Suite.registry b.Suite.dfg in
-      match
-        Result.bind
-          (S.Request.make ~config ~lib ~registry:b.Suite.registry ~dfg:b.Suite.dfg ~objective
-             ~sampling_ns:(2.2 *. min_ns) ())
-          S.synthesize
-      with
-      | Ok r -> r
-      | Error msg -> Alcotest.failf "synthesis of %s failed: %s" b.Suite.name msg)
-
-let checkf what a b = Alcotest.check (Alcotest.float 1e-9) what a b
+let synth (b : Suite.t) objective =
+  let min_ns = S.min_sampling_ns lib b.Suite.registry b.Suite.dfg in
+  match
+    Result.bind
+      (S.Request.make ~config ~lib ~registry:b.Suite.registry ~dfg:b.Suite.dfg ~objective
+         ~sampling_ns:(2.2 *. min_ns) ())
+      S.synthesize
+  with
+  | Ok r -> r
+  | Error msg -> Alcotest.failf "synthesis of %s failed: %s" b.Suite.name msg
 
 let test_synthesis_equivalence () =
   List.iter
     (fun (b : Suite.t) ->
       List.iter
         (fun objective ->
-          let what =
-            Printf.sprintf "%s/%s" b.Suite.name (Cost.objective_name objective)
+          let what = Printf.sprintf "%s/%s" b.Suite.name (Cost.objective_name objective) in
+          let r = synth b objective in
+          let winner =
+            diff_schedule (what ^ " winner") r.S.ctx r.S.design ~deadline:r.S.deadline_cycles
           in
-          let ev = synth Sched.Event b objective in
-          let lg = synth Sched.Legacy b objective in
-          checki (what ^ ": deadline") lg.S.deadline_cycles ev.S.deadline_cycles;
-          checkf (what ^ ": vdd") lg.S.ctx.Design.vdd ev.S.ctx.Design.vdd;
-          checkf (what ^ ": clk") lg.S.ctx.Design.clk_ns ev.S.ctx.Design.clk_ns;
-          checkf (what ^ ": area") lg.S.eval.Cost.area ev.S.eval.Cost.area;
-          checkf (what ^ ": power") lg.S.eval.Cost.power ev.S.eval.Cost.power;
-          checki (what ^ ": moves committed") lg.S.stats.Hsyn_core.Pass.moves_committed
-            ev.S.stats.Hsyn_core.Pass.moves_committed;
-          checkb (what ^ ": move log") true
-            (lg.S.stats.Hsyn_core.Pass.log = ev.S.stats.Hsyn_core.Pass.log);
-          (* the winning designs schedule identically under both kernels *)
-          ignore
-            (diff_schedule (what ^ " winner") ev.S.ctx ev.S.design
-               ~deadline:ev.S.deadline_cycles))
+          checkb (what ^ ": winner feasible") true winner.Sched.feasible;
+          checki (what ^ ": winner makespan") r.S.eval.Cost.makespan winner.Sched.makespan)
         [ Cost.Area; Cost.Power ])
     [ Suite.test1 (); Suite.hier_paulin () ]
 
-(* The legacy reference path must not disturb the kernel counters'
-   invariant: legacy calls are counted both as schedules and as
-   legacy_schedules. *)
+(* The kernel counters see every production scheduling call and none
+   of the reference kernel's. *)
 let test_stats_accounting () =
   let b = Suite.test1 () in
   let ctx = Tu.ctx () in
@@ -148,12 +129,13 @@ let test_stats_accounting () =
   let cs = Sched.relaxed ~deadline:1_000 d.Design.dfg in
   let before = Sched.stats () in
   ignore (Sched.schedule ctx cs d);
-  ignore (Sched.schedule_legacy ctx cs d);
   let delta = Sched.sub_stats (Sched.stats ()) before in
-  checkb "schedules counted" true (delta.Sched.schedules >= 2);
-  checkb "legacy counted" true (delta.Sched.legacy_schedules >= 1);
+  checkb "schedules counted" true (delta.Sched.schedules >= 1);
   checkb "events popped" true (delta.Sched.events_popped > 0);
-  checkb "legacy <= total" true (delta.Sched.legacy_schedules <= delta.Sched.schedules)
+  let before = Sched.stats () in
+  ignore (Ref_sched.schedule ctx cs d);
+  checkb "reference kernel uncounted" true
+    (Sched.sub_stats (Sched.stats ()) before = Sched.zero_stats)
 
 let () =
   Alcotest.run "sched_diff"

@@ -90,6 +90,45 @@ let test_wire_rejects_unknown_field () =
   | Ok _ -> Alcotest.fail "wrong kind accepted"
   | Error _ -> ()
 
+(* Version 2 dropped the request's "portfolio", the config's "strategy"
+   and the engine policy's "staged". A current-version document that
+   still carries one must fail naming it, never be silently accepted;
+   a version-1 document fails on its version. *)
+let test_wire_rejects_removed_fields () =
+  checki "wire schema version" 2 Wire.schema_version;
+  let add path field v json =
+    let rec go path json =
+      match (path, json) with
+      | [], Json.Obj f -> Json.Obj (f @ [ (field, v) ])
+      | key :: rest, Json.Obj f ->
+          Json.Obj (List.map (fun (k, x) -> if k = key then (k, go rest x) else (k, x)) f)
+      | _ -> Alcotest.fail "unexpected document shape"
+    in
+    go path json
+  in
+  let doc = Wire.doc_to_json (test1_doc ()) in
+  List.iter
+    (fun (path, field, v) ->
+      match Wire.doc_of_json (add path field v doc) with
+      | Ok _ -> Alcotest.failf "removed field %s accepted" field
+      | Error msg -> checkb (field ^ " named in the error") true (contains msg field))
+    [
+      ([], "portfolio", Json.Int 2);
+      ([ "config" ], "strategy", Json.Int 1);
+      ([ "config"; "engine" ], "staged", Json.Bool true);
+      ([ "config"; "clib"; "engine" ], "staged", Json.Bool false);
+    ];
+  let v1 =
+    match doc with
+    | Json.Obj f ->
+        Json.Obj
+          (List.map (fun (k, x) -> if k = "schema_version" then (k, Json.Int 1) else (k, x)) f)
+    | _ -> doc
+  in
+  match Wire.doc_of_json v1 with
+  | Ok _ -> Alcotest.fail "version-1 document accepted"
+  | Error msg -> checkb "version named in the error" true (contains msg "schema_version")
+
 let test_wire_error_roundtrip () =
   List.iter
     (fun e ->
@@ -176,9 +215,17 @@ let test_malformed_request_survives () =
           let j = parse (last lines) in
           checks "typed error line" "hsyn.error" (gets "kind" j);
           checks "bad_request code" "bad_request" (gets "code" j));
-      (match Serve.Client.raw ~timeout_s:10. addr "{\"kind\":\"hsyn.request\",\"schema_version\":1,\"source\":{\"bench\":\"no-such-bench\"}}" with
+      (match
+         Serve.Client.raw ~timeout_s:10. addr
+           (Printf.sprintf
+              "{\"kind\":\"hsyn.request\",\"schema_version\":%d,\"source\":{\"bench\":\"no-such-bench\"}}"
+              Wire.schema_version)
+       with
       | Error msg -> Alcotest.failf "raw send failed: %s" msg
-      | Ok lines -> checks "unknown bench is bad_request" "bad_request" (gets "code" (parse (last lines))));
+      | Ok lines ->
+          let j = parse (last lines) in
+          checks "unknown bench is bad_request" "bad_request" (gets "code" j);
+          checkb "error names the bench" true (contains (gets "message" j) "no-such-bench"));
       (* the daemon still serves after both *)
       let final = last (request_lines addr (test1_doc ())) in
       checks "daemon survives" "hsyn.result" (gets "kind" (parse final));
@@ -428,6 +475,7 @@ let () =
         [
           Alcotest.test_case "doc round-trips" `Quick test_wire_doc_roundtrip;
           Alcotest.test_case "rejects unknown fields" `Quick test_wire_rejects_unknown_field;
+          Alcotest.test_case "rejects removed v1 fields" `Quick test_wire_rejects_removed_fields;
           Alcotest.test_case "error round-trips" `Quick test_wire_error_roundtrip;
         ] );
       ( "identity",
