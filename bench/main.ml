@@ -190,7 +190,7 @@ let figure_2 () =
   let ctx = { Design.lib; vdd = 5.0; clk_ns = 20.0 } in
   let clib =
     Clib.build ctx b.Suite.registry ~rng:(Rng.create 42) ~trace_length:8
-      ~effort:Clib.default_effort ~top:b.Suite.dfg
+      ~effort:Clib.default_effort ~families:Moves.all_families ~top:b.Suite.dfg
   in
   Format.printf "%a@." (Clib.pp ctx) clib
 
@@ -920,9 +920,10 @@ let cache_section () =
 
 (* ------------------------------------------------------------------ *)
 (* Observability overhead: the same synthesis run with the flight
-   recorder fully off (the default), and fully armed (trace + metrics
-   + profile). The disabled path must be indistinguishable from the
-   pre-observability code: each probe costs one atomic load, and the
+   recorder fully off (the default), and fully armed (trace + metrics;
+   --profile reads the metrics). The disabled path must be
+   indistinguishable from the pre-observability code: each probe
+   costs one atomic load, and the
    section both measures that cost directly (Bechamel on a disabled
    span) and scales it by the run's actual probe count to bound the
    disabled overhead — the wall-clock medians alone cannot resolve a
@@ -945,8 +946,7 @@ let obs_section () =
   let timed () = List.init repeats (fun _ -> let r = run () in (r, r.S.elapsed_s)) in
   let off () =
     Obs.Trace.set_enabled false;
-    Obs.Metrics.set_enabled false;
-    Obs.Gate.set_profile false
+    Obs.Metrics.set_enabled false
   in
   off ();
   Printf.printf "  running disabled (%d repeat%s) ...\n%!" repeats (if repeats = 1 then "" else "s");
@@ -954,7 +954,6 @@ let obs_section () =
   Obs.Trace.set_capacity 262_144;
   Obs.Trace.set_enabled true;
   Obs.Metrics.set_enabled true;
-  Obs.Gate.set_profile true;
   Printf.printf "  running instrumented (%d repeat%s) ...\n%!" repeats
     (if repeats = 1 then "" else "s");
   let en_runs = timed () in
@@ -984,7 +983,6 @@ let obs_section () =
   off ();
   Obs.Trace.reset ();
   Obs.Metrics.reset ();
-  Hsyn_util.Timing.reset ();
   (* cost of one disabled probe, measured on the disabled path *)
   let tests =
     [
@@ -1033,7 +1031,7 @@ let obs_section () =
     ];
   Table.add_row t
     [
-      "trace+metrics+profile";
+      "trace+metrics";
       Printf.sprintf "%.3f" en_med;
       string_of_int probes_per_run;
       "-";

@@ -147,6 +147,23 @@ let write_json_file path v =
       output_string oc (Json.to_string v);
       output_char oc '\n')
 
+(* [--profile]: the per-stage table, read back from the [stage.*]
+   duration histograms (milliseconds) that every armed span feeds. *)
+let print_profile () =
+  Printf.printf "\nstage wall time (ms; median and p90 are bucket estimates):\n";
+  Metrics.fold
+    (fun ~base ~labels view () ->
+      match view with
+      | Metrics.Histogram_view v
+        when labels = [] && v.Metrics.count > 0 && String.starts_with ~prefix:"stage." base ->
+          Printf.printf
+            "  %-22s %7d calls  total %8.1f  min %7.4f  median ~%7.4f  p90 ~%7.4f  max %8.4f\n"
+            (String.sub base 6 (String.length base - 6))
+            v.Metrics.count v.Metrics.sum v.Metrics.min (Metrics.hist_quantile 50. v)
+            (Metrics.hist_quantile 90. v) v.Metrics.max
+      | _ -> ())
+    ()
+
 let synth_one ~session ~doc progress events_json trace_out metrics_out checkpoint resume json
     show_stats profile show_rtl show_fsm show_sched show_verilog =
   (
@@ -211,7 +228,7 @@ let synth_one ~session ~doc progress events_json trace_out metrics_out checkpoin
               Printf.printf "  area          : %.1f\n" r.S.eval.Cost.area;
               Printf.printf "  power         : %.3f\n" r.S.eval.Cost.power;
               Printf.printf "  synthesis time: %.2f s (%d contexts, %d moves)\n" r.S.elapsed_s
-                r.S.contexts_tried r.S.stats.Hsyn_core.Pass.moves_committed;
+                r.S.coverage.S.contexts_started r.S.stats.Hsyn_core.Pass.moves_committed;
               if not r.S.completed then
                 Printf.printf "  sweep stopped : %s after %d/%d contexts (best so far shown)\n"
                   (match r.S.coverage.S.stop_reason with Some s -> s | None -> "?")
@@ -232,22 +249,7 @@ let synth_one ~session ~doc progress events_json trace_out metrics_out checkpoin
                     List.iter (fun (k, n) -> Printf.printf " %s %d" k n) kinds;
                     print_newline ())
               end;
-              if profile then begin
-                let module St = Hsyn_util.Stats in
-                let module Timing = Hsyn_util.Timing in
-                Printf.printf "\nstage wall time (per call):\n";
-                (* calls/total come from the exact aggregates; the
-                   percentiles from the bounded reservoir of recent
-                   samples *)
-                List.iter
-                  (fun (name, (st : Timing.stat)) ->
-                    let ms = List.map (fun s -> s *. 1000.) (Timing.samples name) in
-                    Printf.printf
-                      "  %-10s %7d calls  total %8.1f ms  median %7.4f ms  p90 %7.4f ms\n" name
-                      st.Timing.count (st.Timing.sum *. 1000.) (St.median ms)
-                      (St.percentile 90. ms))
-                  (Timing.stats ())
-              end;
+              if profile then print_profile ();
               if show_rtl then Format.printf "@.%a@." Design.pp r.S.design;
               let cs = Sched.relaxed ~deadline:r.S.deadline_cycles r.S.design.Design.dfg in
               let sch = Sched.schedule ~cache:(Session.sched_cache session) r.S.ctx cs r.S.design in
@@ -303,9 +305,8 @@ let do_synth bench file dfg_name objective lf sampling mode seed jobs budget_s m
       List.iter (fun d -> print_endline (Json.to_string (Wire.doc_to_json d))) docs;
       0
   | Ok docs ->
-      if profile then Trace.set_profile true;
       if trace_out <> None then Trace.set_enabled true;
-      if metrics_out <> None || trace_out <> None then Metrics.set_enabled true;
+      if profile || metrics_out <> None || trace_out <> None then Metrics.set_enabled true;
       (* one session reused across every design with --share-session;
          otherwise each design gets its own (results are identical
          either way — sharing only skips repeated work) *)
@@ -467,7 +468,8 @@ let profile_flag =
     & info [ "profile" ]
         ~doc:
           "Record per-stage wall time (prepare/schedule/power) during synthesis and print a \
-           breakdown with the statistics (implies $(b,--stats)).")
+           breakdown with the statistics (implies $(b,--stats)). Calls, total, min and max \
+           are exact; median and p90 are estimates from the stage histogram's buckets.")
 let rtl_flag = Arg.(value & flag & info [ "rtl" ] ~doc:"Dump the RTL structure of the result.")
 let fsm_flag = Arg.(value & flag & info [ "fsm" ] ~doc:"Dump the controller FSM of the result.")
 let sched_flag = Arg.(value & flag & info [ "sched" ] ~doc:"Dump the schedule of the result.")

@@ -51,14 +51,16 @@ let compatible t ~dfg_name ~objective ~sampling_ns ~flattened =
 
 let save path t =
   let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc magic;
-      output_binary_int oc schema_version;
-      Marshal.to_channel oc t []);
-  Sys.rename tmp path
+  try
+    let oc = open_out_bin tmp in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc magic;
+        output_binary_int oc schema_version;
+        Marshal.to_channel oc t []);
+    Ok (Sys.rename tmp path)
+  with Sys_error msg -> Error msg
 
 let load path =
   if not (Sys.file_exists path) then Error (Printf.sprintf "no checkpoint at %s" path)

@@ -43,9 +43,9 @@ val schema_version : int
 val compatible : t -> dfg_name:string -> objective:Cost.objective -> sampling_ns:float -> flattened:bool -> (unit, string) result
 (** A checkpoint may only resume the run shape it was taken from. *)
 
-val save : string -> t -> unit
-(** Atomic write (temp file + rename).
-    @raise Sys_error on I/O failure. *)
+val save : string -> t -> (unit, string) result
+(** Atomic write (temp file + rename). An I/O failure is an [Error]
+    with the system's message. *)
 
 val load : string -> (t, string) result
 (** Rejects missing files, bad magic, version mismatches and truncated

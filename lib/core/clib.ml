@@ -7,22 +7,15 @@ module Rng = Hsyn_util.Rng
 
 type t = (string, Design.rtl_module list) Hashtbl.t
 
-type effort = {
+type effort = Pass.effort = {
   max_moves : int;
   max_passes : int;
   max_candidates : int;
-  trace : int array list -> int array list;
   engine : Engine.policy;
 }
 
 let default_effort =
-  {
-    max_moves = 6;
-    max_passes = 2;
-    max_candidates = 24;
-    trace = Fun.id;
-    engine = Engine.default_policy;
-  }
+  { max_moves = 6; max_passes = 2; max_candidates = 24; engine = Engine.default_policy }
 
 let lookup (t : t) behavior = match Hashtbl.find_opt t behavior with Some l -> l | None -> []
 
@@ -45,8 +38,8 @@ let reachable registry top =
   visit top;
   List.rev !order
 
-let synthesize_variant ?session ?token ctx registry clib ~rng ~trace_length ~effort behavior
-    (variant : Dfg.t) =
+let synthesize_variant ?session ?token ctx registry clib ~rng ~trace_length ~effort ~families
+    behavior (variant : Dfg.t) =
   let sched_cache = Option.map Session.sched_cache session in
   let complexes = lookup clib in
   let initial = Initial.build ?sched_cache ctx ~complexes registry variant in
@@ -54,36 +47,16 @@ let synthesize_variant ?session ?token ctx registry clib ~rng ~trace_length ~eff
   let sch0 = Sched.schedule ?cache:sched_cache ctx relaxed initial in
   let fast_span = max 1 sch0.Sched.makespan in
   let trace =
-    effort.trace
-      (Trace.generate (Rng.split rng) Trace.default_kind
-         ~n_inputs:(Array.length variant.Dfg.inputs) ~length:trace_length)
+    Trace.generate (Rng.split rng) Trace.default_kind
+      ~n_inputs:(Array.length variant.Dfg.inputs) ~length:trace_length
   in
   let optimize objective deadline =
-    let sampling_ns = Float.of_int deadline *. ctx.Design.clk_ns in
-    let cs = { relaxed with Sched.deadline } in
-    let engine =
-      Engine.create ~policy:effort.engine ?session ?token ~ctx ~cs ~sampling_ns ~trace
-        ~objective ()
+    let _, d, _ =
+      Pass.run ?session ?token ~effort ~families ~complexes ~ctx
+        ~cs:{ relaxed with Sched.deadline }
+        ~sampling_ns:(Float.of_int deadline *. ctx.Design.clk_ns)
+        ~trace ~objective initial
     in
-    let env =
-      {
-        Moves.ctx;
-        cs;
-        sampling_ns;
-        trace;
-        objective;
-        engine;
-        registry;
-        complexes;
-        resynth = None;
-        max_candidates = effort.max_candidates;
-        allow_embed = true;
-        allow_split = true;
-        allow_rewrite = true;
-        fresh_names = 0;
-      }
-    in
-    let d, _ = Pass.improve ?token env ~max_moves:effort.max_moves ~max_passes:effort.max_passes initial in
     d
   in
   let fast = { Design.rm_name = variant.Dfg.name ^ "@f"; parts = [ (behavior, initial) ] } in
@@ -98,7 +71,7 @@ let synthesize_variant ?session ?token ctx registry clib ~rng ~trace_length ~eff
   in
   [ fast; area_opt; power_opt ]
 
-let build ?session ?token ctx registry ~rng ~trace_length ~effort ~top =
+let build ?session ?token ctx registry ~rng ~trace_length ~effort ~families ~top =
   let clib : t = Hashtbl.create 16 in
   List.iter
     (fun behavior ->
@@ -106,7 +79,7 @@ let build ?session ?token ctx registry ~rng ~trace_length ~effort ~top =
         List.concat_map
           (fun variant ->
             synthesize_variant ?session ?token ctx registry clib ~rng ~trace_length ~effort
-              behavior variant)
+              ~families behavior variant)
           (Registry.variants registry behavior)
       in
       Hashtbl.replace clib behavior modules)

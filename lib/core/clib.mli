@@ -15,12 +15,10 @@ module Registry = Hsyn_dfg.Registry
 
 type t
 
-type effort = {
+type effort = Pass.effort = {
   max_moves : int;
   max_passes : int;
   max_candidates : int;
-  trace : int array list -> int array list;
-      (** trims/extends the caller trace; identity by default *)
   engine : Engine.policy;  (** evaluation-engine policy for library synthesis *)
 }
 
@@ -34,11 +32,13 @@ val build :
   rng:Hsyn_util.Rng.t ->
   trace_length:int ->
   effort:effort ->
+  families:Moves.families ->
   top:Dfg.t ->
   t
 (** Synthesize library modules for every behavior reachable from
     [top], deepest behaviors first (so shallower modules can
-    instantiate deeper ones). The nested per-variant engines borrow
+    instantiate deeper ones), each module by one {!Pass.run} with the
+    given move-family switches. The nested per-variant engines borrow
     their caches from [session] when given (each creates a private
     session otherwise). With [token], construction polls the
     budget for hard interruptions (deadline/cancel — never quotas) and

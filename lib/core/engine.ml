@@ -134,6 +134,9 @@ let raise_interrupted t =
   | None -> raise (Budget.Interrupted Budget.Cancelled)
 
 let objective t = t.obj
+let ctx t = t.ctx
+let constraints t = t.cs
+let trace t = t.trace
 let counters t = t.totals
 let session t = t.session
 let cache_size t = match t.costs with Some c -> Session.cost_size c | None -> 0

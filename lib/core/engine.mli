@@ -92,6 +92,13 @@ val session : t -> Session.t
 
 val objective : t -> Cost.objective
 
+val ctx : t -> Design.ctx
+val constraints : t -> Sched.constraints
+val trace : t -> int array list
+(** The evaluation context the engine was created with. Move
+    generators read it from here, so an improvement run states it
+    once. *)
+
 val evaluate : t -> Design.t -> Cost.eval
 (** Memoized equivalent of
     [Cost.evaluate ~with_power:(objective = Power)]. *)

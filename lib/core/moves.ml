@@ -1,6 +1,5 @@
 module Design = Hsyn_rtl.Design
 module Sched = Hsyn_sched.Sched
-module Registry = Hsyn_dfg.Registry
 module Dfg = Hsyn_dfg.Dfg
 module Op = Hsyn_dfg.Op
 module Fu = Hsyn_modlib.Fu
@@ -37,21 +36,18 @@ type t = {
   gain : float;
 }
 
+type families = { embed : bool; split : bool; rewrite : bool }
+
+let all_families = { embed = true; split = true; rewrite = true }
+
+type resynth = Design.ctx -> Sched.constraints -> Cost.objective -> Design.t -> Design.t
+
 type env = {
-  ctx : Design.ctx;
-  cs : Sched.constraints;
-  sampling_ns : float;
-  trace : int array list;
-  objective : Cost.objective;
   engine : Engine.t;
-  registry : Registry.t;
   complexes : string -> Design.rtl_module list;
-  resynth :
-    (Design.ctx -> Sched.constraints -> Cost.objective -> Design.t -> Design.t) option;
+  resynth : resynth option;
   max_candidates : int;
-  allow_embed : bool;
-  allow_split : bool;
-  allow_rewrite : bool;
+  families : families;
   mutable fresh_names : int;
 }
 
@@ -62,6 +58,10 @@ let fresh_name env base =
 (* Scheduling done by generators (not via the engine) still goes
    through the session's scheduler cache. *)
 let sched_cache env = Session.sched_cache (Engine.session env.engine)
+
+(* The evaluation context lives in the engine alone. *)
+let ctx env = Engine.ctx env.engine
+let cs env = Engine.constraints env.engine
 
 (* Candidates are produced lazily — [(kind, description), design]
    sequences — so the per-family truncation in [best_of] also bounds
@@ -103,12 +103,12 @@ let merge_simple d i j merged_kind =
 (* Move family A: module selection *)
 
 let select_candidates env (d : Design.t) : candidate Seq.t =
-  let lib = env.ctx.Design.lib in
+  let lib = (ctx env).Design.lib in
   (* rank unit swaps by how much objective they can plausibly win, so
      truncation in [best_of] keeps the promising ones: big capacitance
      cuts first for power, big area cuts first for area *)
   let swap_score uses (old_fu : Fu.t) (alt : Fu.t) =
-    match env.objective with
+    match Engine.objective env.engine with
     | Cost.Power -> Float.of_int uses *. (old_fu.Fu.energy_cap -. alt.Fu.energy_cap)
     | Cost.Area -> old_fu.Fu.area -. alt.Fu.area
   in
@@ -164,8 +164,8 @@ let resynth_candidates env (d : Design.t) : candidate Seq.t =
          instances but only computed if some candidate is pulled *)
       let pre =
         lazy
-          ( Sched.schedule ~cache:(sched_cache env) env.ctx env.cs d,
-            Sched.alap_start ~cache:(sched_cache env) env.ctx ~deadline:env.cs.Sched.deadline d,
+          ( Sched.schedule ~cache:(sched_cache env) (ctx env) (cs env) d,
+            Sched.alap_start ~cache:(sched_cache env) (ctx env) ~deadline:(cs env).Sched.deadline d,
             Design.consumer_index dfg )
       in
       Seq.init (Array.length d.Design.insts) Fun.id
@@ -191,9 +191,9 @@ let resynth_candidates env (d : Design.t) : candidate Seq.t =
                          List.fold_left
                            (fun acc (c, _) ->
                              match dfg.Dfg.nodes.(c).Dfg.kind with
-                             | Dfg.Output | Dfg.Delay _ -> min acc env.cs.Sched.deadline
+                             | Dfg.Output | Dfg.Delay _ -> min acc (cs env).Sched.deadline
                              | _ -> min acc (max 0 alap.(c)))
-                           env.cs.Sched.deadline cons
+                           (cs env).Sched.deadline cons
                        in
                        let outs = Array.init node.Dfg.n_out latest_out in
                        let base = Array.fold_left min max_int arrivals in
@@ -209,7 +209,7 @@ let resynth_candidates env (d : Design.t) : candidate Seq.t =
                          }
                        in
                        let part = Design.module_part rm behavior in
-                       let part' = resynth env.ctx inner_cs env.objective part in
+                       let part' = resynth (ctx env) inner_cs (Engine.objective env.engine) part in
                        if part' == part then Seq.Nil
                        else
                          let rm' =
@@ -257,7 +257,7 @@ let merge_simple_candidates (d : Design.t) : candidate Seq.t =
 (* Chain fusion: nodes a -> b (both additions on separate plain units)
    fused onto a chained adder; extended to three for chained_add3. *)
 let chain_candidates env (d : Design.t) : candidate Seq.t =
-  let lib = env.ctx.Design.lib in
+  let lib = (ctx env).Design.lib in
   let dfg = d.Design.dfg in
   let cidx = lazy (Design.consumer_index dfg) in
   let is_plain_add id =
@@ -386,7 +386,7 @@ let module_merge_candidates env (d : Design.t) : candidate Seq.t =
   List.to_seq !pairs
   |> Seq.filter_map (fun (i, j, rmi, rmj) ->
          match
-           Embed.merge_modules env.ctx
+           Embed.merge_modules (ctx env)
              ~name:(fresh_name env (rmi.Design.rm_name ^ "+" ^ rmj.Design.rm_name))
              rmi rmj
          with
@@ -408,7 +408,7 @@ let module_merge_candidates env (d : Design.t) : candidate Seq.t =
 let left_edge_candidate env (d : Design.t) : candidate Seq.t =
  fun () ->
   let dfg = d.Design.dfg in
-  let sch = Sched.schedule ~cache:(sched_cache env) env.ctx env.cs d in
+  let sch = Sched.schedule ~cache:(sched_cache env) (ctx env) (cs env) d in
   if not sch.Sched.feasible then Seq.Nil
   else begin
     let cidx = Design.consumer_index dfg in
@@ -483,13 +483,13 @@ let merge_candidates env d : candidate Seq.t =
     (Seq.append (merge_simple_candidates d)
        (Seq.append (chain_candidates env d)
           (Seq.append (module_share_candidates d)
-             (if env.allow_embed then module_merge_candidates env d else Seq.empty))))
+             (if env.families.embed then module_merge_candidates env d else Seq.empty))))
 
 (* ------------------------------------------------------------------ *)
 (* Move family D: splitting *)
 
 let split_candidates env (d : Design.t) : candidate Seq.t =
-  let sch = lazy (Sched.schedule ~cache:(sched_cache env) env.ctx env.cs d) in
+  let sch = lazy (Sched.schedule ~cache:(sched_cache env) (ctx env) (cs env) d) in
   Seq.init (Array.length d.Design.insts) Fun.id
   |> Seq.concat_map (fun i ->
          let nodes = Design.nodes_on d i in
@@ -558,7 +558,7 @@ let rebind_rewritten env (d : Design.t) (g' : Dfg.t) =
               when dfg.Dfg.nodes.(orig).Dfg.kind = node.Dfg.kind
                    && d.Design.node_inst.(orig) >= 0 ->
                 d.Design.node_inst.(orig)
-            | _ -> add_inst (Design.Simple (Library.fastest_for env.ctx.Design.lib op)))
+            | _ -> add_inst (Design.Simple (Library.fastest_for (ctx env).Design.lib op)))
         | Dfg.Call _ -> (
             match Hashtbl.find_opt by_label node.Dfg.label with
             | Some orig when dfg.Dfg.nodes.(orig).Dfg.kind = node.Dfg.kind ->
@@ -595,7 +595,7 @@ let rebind_rewritten env (d : Design.t) (g' : Dfg.t) =
       let insts = Array.append d.Design.insts (Array.of_list (List.rev !extra)) in
       let d' = { Design.dfg = g'; insts; node_inst; value_reg; n_regs = !next } in
       let d' = Design.compact d' in
-      (match Design.validate env.ctx d' with Ok () -> Some d' | Error _ -> None)
+      (match Design.validate (ctx env) d' with Ok () -> Some d' | Error _ -> None)
 
 (* Every candidate passes a mandatory bitwise-equivalence gate: the
    rewritten design is simulated on the environment trace and must
@@ -604,7 +604,7 @@ let rebind_rewritten env (d : Design.t) (g' : Dfg.t) =
    committed. *)
 let rewrite_candidates env (d : Design.t) : candidate Seq.t =
   let bump name = if Metrics.is_enabled () then Metrics.incr (Metrics.counter name) in
-  let reference = lazy (Sim.outputs d (Sim.run d env.trace)) in
+  let reference = lazy (Sim.outputs d (Sim.run d (Engine.trace env.engine))) in
   List.to_seq (Rewrite_dfg.candidates d.Design.dfg)
   |> Seq.filter_map (fun (description, g') ->
          bump "moves.rewrite.candidates";
@@ -613,7 +613,7 @@ let rewrite_candidates env (d : Design.t) : candidate Seq.t =
              bump "moves.rewrite.rejected_bind";
              None
          | Some d' -> (
-             match Sim.outputs d' (Sim.run d' env.trace) with
+             match Sim.outputs d' (Sim.run d' (Engine.trace env.engine)) with
              | outs when outs = Lazy.force reference -> Some ((Rewrite, description), d')
              | _ ->
                  bump "moves.rewrite.rejected_sim";
@@ -634,10 +634,11 @@ let best_merge env cur_value d =
   span "best_merge" (fun () -> best_of env cur_value (merge_candidates env d))
 
 let best_split env cur_value d =
-  if env.allow_split then span "best_split" (fun () -> best_of env cur_value (split_candidates env d))
+  if env.families.split then
+    span "best_split" (fun () -> best_of env cur_value (split_candidates env d))
   else None
 
 let best_rewrite env cur_value d =
-  if env.allow_rewrite then
+  if env.families.rewrite then
     span "best_rewrite" (fun () -> best_of env cur_value (rewrite_candidates env d))
   else None

@@ -32,7 +32,6 @@
 
 module Design = Hsyn_rtl.Design
 module Sched = Hsyn_sched.Sched
-module Registry = Hsyn_dfg.Registry
 
 type kind = Select | Resynthesize | Merge | Split | Rewrite
 
@@ -57,22 +56,28 @@ type t = {
   gain : float;  (** objective(current) − objective(candidate) *)
 }
 
+type families = {
+  embed : bool;  (** complex-module merging via RTL embedding (part of C) *)
+  split : bool;  (** move family D *)
+  rewrite : bool;  (** move family E *)
+}
+(** The switchable families. A and the rest of C are always on; B is on
+    when [env.resynth] is given. *)
+
+val all_families : families
+
+type resynth = Design.ctx -> Sched.constraints -> Cost.objective -> Design.t -> Design.t
+(** Bounded inner optimizer used by move B: improve a module part
+    under derived environment constraints. *)
+
 type env = {
-  ctx : Design.ctx;
-  cs : Sched.constraints;
-  sampling_ns : float;
-  trace : int array list;
-  objective : Cost.objective;
-  engine : Engine.t;  (** the evaluation engine all cost queries go through *)
-  registry : Registry.t;
+  engine : Engine.t;
+      (** the evaluation engine all cost queries go through; it also
+          holds the run's context, constraints, trace and objective *)
   complexes : string -> Design.rtl_module list;
-  resynth :
-    (Design.ctx -> Sched.constraints -> Cost.objective -> Design.t -> Design.t) option;
-      (** bounded inner optimizer used by move B; [None] disables B *)
+  resynth : resynth option;  (** [None] disables B *)
   max_candidates : int;  (** cap on evaluated candidates per family *)
-  allow_embed : bool;  (** enable complex-module merging via RTL embedding *)
-  allow_split : bool;  (** enable move family D *)
-  allow_rewrite : bool;  (** enable move family E *)
+  families : families;
   mutable fresh_names : int;  (** counter for generated module names *)
 }
 
@@ -88,5 +93,5 @@ val best_split : env -> float -> Design.t -> t option
 
 val best_rewrite : env -> float -> Design.t -> t option
 (** Best algebraic rewriting move (family E). [None] when
-    [env.allow_rewrite] is false or no candidate survives rebinding,
+    [env.families.rewrite] is false or no candidate survives rebinding,
     validation and the mandatory simulation-equivalence gate. *)

@@ -3,6 +3,13 @@ module Sched = Hsyn_sched.Sched
 module Metrics = Hsyn_obs.Metrics
 module Span = Hsyn_obs.Trace
 
+type effort = {
+  max_moves : int;
+  max_passes : int;
+  max_candidates : int;
+  engine : Engine.policy;
+}
+
 type committed_move = {
   cm_pass : int;
   cm_family : string;
@@ -40,7 +47,7 @@ let improve ?token ?(in_quota = false) ?on_pass ?on_commit (env : Moves.env) ~ma
   let before = Engine.counters eng in
   let fam_before = Engine.family_counters eng in
   let sched_before = Sched.stats () in
-  let value d = Cost.objective_value env.Moves.objective (Engine.evaluate eng d) in
+  let value d = Cost.objective_value (Engine.objective eng) (Engine.evaluate eng d) in
   let stats =
     ref
       {
@@ -172,7 +179,7 @@ let improve ?token ?(in_quota = false) ?on_pass ?on_commit (env : Moves.env) ~ma
                     | None -> stop := true
                     | Some m ->
                         cur := m.Moves.candidate;
-                        cur_val := Cost.objective_value env.Moves.objective m.Moves.eval;
+                        cur_val := Cost.objective_value (Engine.objective eng) m.Moves.eval;
                         cum := !cum +. m.Moves.gain;
                         seq :=
                           {
@@ -235,8 +242,29 @@ let improve ?token ?(in_quota = false) ?on_pass ?on_commit (env : Moves.env) ~ma
           Option.iter
             (fun f ->
               f !stats.passes !stats.moves_committed
-                (Cost.objective_value env.Moves.objective (Engine.evaluate eng !current)))
+                (Cost.objective_value (Engine.objective eng) (Engine.evaluate eng !current)))
             on_pass)
     done;
     finish !current
   end
+
+let run ?session ?token ?in_quota ?on_pass ?on_commit ?resynth ~(effort : effort) ~families
+    ~complexes ~ctx ~cs ~sampling_ns ~trace ~objective d0 =
+  let engine =
+    Engine.create ~policy:effort.engine ?session ?token ~ctx ~cs ~sampling_ns ~trace ~objective ()
+  in
+  let env =
+    {
+      Moves.engine;
+      complexes;
+      resynth;
+      max_candidates = effort.max_candidates;
+      families;
+      fresh_names = 0;
+    }
+  in
+  let d, stats =
+    improve ?token ?in_quota ?on_pass ?on_commit env ~max_moves:effort.max_moves
+      ~max_passes:effort.max_passes d0
+  in
+  (engine, d, stats)

@@ -16,6 +16,14 @@
 
 module Design = Hsyn_rtl.Design
 
+type effort = {
+  max_moves : int;  (** tentative moves per pass *)
+  max_passes : int;
+  max_candidates : int;  (** cap on evaluated candidates per family *)
+  engine : Engine.policy;
+}
+(** The bounds of one improvement run. *)
+
 type committed_move = {
   cm_pass : int;  (** 1-based pass ordinal within this improvement run *)
   cm_family : string;  (** {!Moves.kind_name}, e.g. ["A:select"] *)
@@ -77,3 +85,27 @@ val improve :
     [on_commit] fires once per committed move, in commit order, at the
     end of the pass that committed it (tentative moves that are rolled
     back never reach it). *)
+
+val run :
+  ?session:Session.t ->
+  ?token:Budget.token ->
+  ?in_quota:bool ->
+  ?on_pass:(int -> int -> float -> unit) ->
+  ?on_commit:(committed_move -> unit) ->
+  ?resynth:Moves.resynth ->
+  effort:effort ->
+  families:Moves.families ->
+  complexes:(string -> Design.rtl_module list) ->
+  ctx:Design.ctx ->
+  cs:Hsyn_sched.Sched.constraints ->
+  sampling_ns:float ->
+  trace:int array list ->
+  objective:Cost.objective ->
+  Design.t ->
+  Engine.t * Design.t * stats
+(** One improvement run, the unit the paper's Figure 4 repeats at
+    every level: create an engine for the evaluation context on
+    [session], build the move environment around it, and {!improve}.
+    Top-level contexts, complex-library construction and move-B
+    resynthesis all go through here. Returns the engine too, for
+    evaluations after the run. *)

@@ -50,7 +50,6 @@ let default_config =
 module Config = struct
   type t = config
 
-  let default = default_config
 
   let validate (c : t) =
     let err fmt = Printf.ksprintf (fun m -> Error ("config: " ^ m)) fmt in
@@ -153,7 +152,6 @@ type result = {
   sampling_ns : float;
   deadline_cycles : int;
   elapsed_s : float;
-  contexts_tried : int;
   stats : Pass.stats;
   clib : Clib.t;
   completed : bool;
@@ -245,45 +243,26 @@ module Result = struct
   let to_json r = Json.to_string (to_json_value r)
 end
 
+let families (c : config) =
+  { Moves.embed = c.enable_embed; split = c.enable_split; rewrite = c.enable_rewrite }
+
 (* A bounded re-synthesis closure for move B: improve the module part
-   under the derived environment constraints, without nesting another
-   level of B moves. *)
-let make_resynth ?session ?token config registry complexes seed =
+   under the derived environment constraints with the library's
+   effort, without nesting another level of B moves. *)
+let make_resynth ~session ?token config complexes : Moves.resynth =
   let counter = ref 0 in
+  let effort = { config.clib_effort with Clib.engine = config.engine } in
   fun ctx cs objective (part : Design.t) ->
     incr counter;
-    let rng = Rng.create (seed + !counter) in
     let trace =
-      Trace.generate rng config.trace_kind
+      Trace.generate (Rng.create (config.seed + !counter)) config.trace_kind
         ~n_inputs:(Array.length part.Design.dfg.Dfg.inputs)
         ~length:config.trace_length
     in
-    let sampling_ns = Float.of_int cs.Sched.deadline *. ctx.Design.clk_ns in
-    let engine =
-      Engine.create ~policy:config.engine ?session ?token ~ctx ~cs ~sampling_ns ~trace
-        ~objective ()
-    in
-    let env =
-      {
-        Moves.ctx;
-        cs;
-        sampling_ns;
-        trace;
-        objective;
-        engine;
-        registry;
-        complexes;
-        resynth = None;
-        max_candidates = config.clib_effort.Clib.max_candidates;
-        allow_embed = config.enable_embed;
-        allow_split = config.enable_split;
-        allow_rewrite = config.enable_rewrite;
-        fresh_names = 0;
-      }
-    in
-    let improved, _ =
-      Pass.improve ?token env ~max_moves:config.clib_effort.Clib.max_moves
-        ~max_passes:config.clib_effort.Clib.max_passes part
+    let _, improved, _ =
+      Pass.run ~session ?token ~effort ~families:(families config) ~complexes ~ctx ~cs
+        ~sampling_ns:(Float.of_int cs.Sched.deadline *. ctx.Design.clk_ns)
+        ~trace ~objective part
     in
     improved
 
@@ -293,9 +272,9 @@ let make_resynth ?session ?token config registry complexes seed =
    construction, candidate batches before the first move commits);
    once improvement is underway an interruption surfaces as
    [stats.interrupted] with the best committed prefix. *)
-let run_context ~session ?token ~events ~index (req : Request.t) config dfg
-    (vdd, clk_ns, deadline) =
+let run_context ~session ~token ~emit ~index (req : Request.t) dfg (vdd, clk_ns, deadline) =
   Hsyn_obs.Trace.(span Pass) "context" @@ fun () ->
+  let config = req.Request.config in
   let ctx = { Design.lib = req.Request.lib; vdd; clk_ns } in
   let rng = Rng.create config.seed in
   let trace =
@@ -304,49 +283,32 @@ let run_context ~session ?token ~events ~index (req : Request.t) config dfg
       ~length:config.trace_length
   in
   let clib =
-    Clib.build ~session ?token ctx req.Request.registry ~rng:(Rng.split rng)
-      ~trace_length:config.trace_length ~effort:config.clib_effort ~top:dfg
+    Clib.build ~session ~token ctx req.Request.registry ~rng:(Rng.split rng)
+      ~trace_length:config.trace_length ~effort:config.clib_effort ~families:(families config)
+      ~top:dfg
   in
   let complexes = Clib.lookup clib in
-  let cs = Sched.relaxed ~deadline dfg in
-  let resynth =
-    if config.enable_resynth then
-      Some (make_resynth ~session ?token config req.Request.registry complexes config.seed)
-    else None
-  in
-  let engine =
-    Engine.create ~policy:config.engine ~session ?token ~ctx ~cs
-      ~sampling_ns:req.Request.sampling_ns ~trace ~objective:req.Request.objective ()
-  in
-  let env =
-    {
-      Moves.ctx;
-      cs;
-      sampling_ns = req.Request.sampling_ns;
-      trace;
-      objective = req.Request.objective;
-      engine;
-      registry = req.Request.registry;
-      complexes;
-      resynth;
-      max_candidates = config.max_candidates;
-      allow_embed = config.enable_embed;
-      allow_split = config.enable_split;
-      allow_rewrite = config.enable_rewrite;
-      fresh_names = 0;
-    }
-  in
   let initial =
     Initial.build ~sched_cache:(Session.sched_cache session) ctx ~complexes req.Request.registry
       dfg
   in
-  (* larger designs need longer move sequences per pass *)
-  let max_moves = max config.max_moves (min 40 (Array.length initial.Design.insts)) in
+  let effort =
+    {
+      (* larger designs need longer move sequences per pass *)
+      Pass.max_moves = max config.max_moves (min 40 (Array.length initial.Design.insts));
+      max_passes = config.max_passes;
+      max_candidates = config.max_candidates;
+      engine = config.engine;
+    }
+  in
+  let resynth =
+    if config.enable_resynth then Some (make_resynth ~session ~token config complexes) else None
+  in
   let on_pass pass moves value =
-    events (Events.Pass_done { context = index; pass; moves_committed = moves; value })
+    emit (Events.Pass_done { context = index; pass; moves_committed = moves; value })
   in
   let on_commit (m : Pass.committed_move) =
-    events
+    emit
       (Events.Move_committed
          {
            context = index;
@@ -357,14 +319,21 @@ let run_context ~session ?token ~events ~index (req : Request.t) config dfg
            value = m.Pass.cm_value;
          })
   in
-  let improved, stats =
-    Pass.improve ?token ~in_quota:true ~on_pass ~on_commit env ~max_moves
-      ~max_passes:config.max_passes initial
+  let engine, design, stats =
+    Pass.run ~session ~token ~in_quota:true ~on_pass ~on_commit ?resynth ~effort
+      ~families:(families config) ~complexes ~ctx ~cs:(Sched.relaxed ~deadline dfg)
+      ~sampling_ns:req.Request.sampling_ns ~trace ~objective:req.Request.objective initial
   in
-  let eval = Engine.evaluate_with_power engine improved in
-  (improved, ctx, eval, stats, clib)
-
-exception Stop of Budget.reason
+  let eval = Engine.evaluate_with_power engine design in
+  {
+    Checkpoint.design;
+    ctx;
+    eval;
+    deadline_cycles = deadline;
+    value = Cost.objective_value req.Request.objective eval;
+    stats;
+    clib;
+  }
 
 (* Persistent-cache plumbing (ROADMAP item 2). Both directions degrade,
    never fail: an unreadable cache file loads nothing and a failed save
@@ -385,247 +354,246 @@ let save_cache ~session ~emit dir =
   | Ok n -> emit (Events.Cache_saved { dir; entries = n; warning = None })
   | Error msg -> emit (Events.Cache_saved { dir; entries = 0; warning = Some msg })
 
-let synthesize ?(events = Events.null) ?token ?checkpoint ?(resume = false) ?cache_dir
-    (req : Request.t) =
-  match Config.validate req.Request.config with
-  | Error msg -> Error msg
-  | Ok config -> (
-      let start_time = Unix.gettimeofday () in
-      let token = match token with Some t -> t | None -> Budget.start req.Request.budget in
-      (* every engine of this run (contexts, clib construction, nested
-         resynthesis) borrows from one session — shared across runs
-         when the request carries one *)
-      let session =
-        match req.Request.session with Some s -> s | None -> Session.create ()
+(* Where the sweep starts: a cold start, or a compatible checkpoint of
+   the same plan. A missing checkpoint file is a cold start, not an
+   error — this is what lets [--resume] be passed unconditionally. *)
+let resume_point ?checkpoint ~resume (req : Request.t) ~total =
+  let dfg_name = req.Request.dfg.Dfg.name in
+  let cold =
+    {
+      Checkpoint.dfg_name;
+      objective = req.Request.objective;
+      sampling_ns = req.Request.sampling_ns;
+      flattened = req.Request.flatten;
+      contexts_planned = total;
+      cursor = 0;
+      passes_run = 0;
+      moves_tried = 0;
+      incumbent = None;
+    }
+  in
+  match checkpoint with
+  | _ when not resume -> Ok cold
+  | None -> Error "resume requested but no checkpoint path given"
+  | Some path when not (Sys.file_exists path) -> Ok cold
+  | Some path ->
+      let ( let* ) = Stdlib.Result.bind in
+      let* ck = Checkpoint.load path in
+      let* () =
+        Checkpoint.compatible ck ~dfg_name ~objective:req.Request.objective
+          ~sampling_ns:req.Request.sampling_ns ~flattened:req.Request.flatten
       in
-      let emit payload =
-        events { Events.at_s = Unix.gettimeofday () -. start_time; payload }
-      in
-      (match cache_dir with
-      | Some dir -> load_cache ~session ~config ~lib:req.Request.lib ~emit dir
-      | None -> ());
-      let dfg = Request.effective_dfg req in
-      let plan = Request.plan req in
-      let total = List.length plan in
-      let fresh_snapshot =
+      if ck.Checkpoint.contexts_planned <> total then
+        Error
+          (Printf.sprintf
+             "checkpoint plans %d contexts but this request plans %d (different config?)"
+             ck.Checkpoint.contexts_planned total)
+      else Ok ck
+
+(* The sweep's state. [committed] is the resumable state: the incumbent
+   over fully finished contexts, exactly what checkpoints store.
+   [partial] is the incumbent of a context the budget cut short; it may
+   be the caller's answer but is never what a resume seeds from, which
+   keeps resumed runs bit-identical to uninterrupted ones. *)
+type sweep = {
+  committed : Checkpoint.incumbent option;
+  partial : Checkpoint.incumbent option;
+  cursor : int;  (* contexts fully finished: the resumable plan prefix *)
+  started : int;  (* contexts this run started *)
+  stop : Budget.reason option;
+  failure : string option;  (* a checkpoint write failed and ended the sweep *)
+}
+
+let better (i : Checkpoint.incumbent) = function
+  | Some (c : Checkpoint.incumbent) -> i.Checkpoint.value < c.Checkpoint.value
+  | None -> true
+
+(* Totals over the resumed-from run and this one. *)
+let progress (snap0 : Checkpoint.t) token =
+  ( snap0.Checkpoint.passes_run + Budget.passes_used token,
+    snap0.Checkpoint.moves_tried + Budget.moves_used token )
+
+(* The plan walk from the resume point: the budget stop, one context
+   run per plan entry, the incumbent. [on_finished] fires once per
+   fully finished context; an [Error] from it ends the sweep. *)
+let sweep ~session ~token ~emit ~on_finished (req : Request.t) dfg plan (snap0 : Checkpoint.t) =
+  let total = List.length plan in
+  let stopped st r =
+    emit (Events.Budget_exhausted { reason = Budget.reason_name r });
+    { st with stop = Some r }
+  in
+  let rec walk st index = function
+    | [] -> st
+    | _ :: rest when index < snap0.Checkpoint.cursor -> walk st (index + 1) rest
+    | (vdd, clk_ns, deadline) :: rest -> (
+        match Budget.exhausted token with
+        | Some r -> stopped st r
+        | None -> (
+            let st = { st with started = st.started + 1 } in
+            emit (Events.Context_started { index; total; vdd; clk_ns; deadline_cycles = deadline });
+            match run_context ~session ~token ~emit ~index req dfg (vdd, clk_ns, deadline) with
+            | exception Budget.Interrupted r ->
+                emit (Events.Context_finished { index; feasible = false });
+                stopped st r
+            | inc ->
+                let feasible = inc.Checkpoint.eval.Cost.feasible in
+                emit (Events.Context_finished { index; feasible });
+                let found = if feasible then Some inc else None in
+                if inc.Checkpoint.stats.Pass.interrupted then
+                  stopped { st with partial = found }
+                    (Option.value (Budget.exhausted token) ~default:Budget.Cancelled)
+                else begin
+                  let committed =
+                    if feasible && better inc st.committed then begin
+                      Hsyn_obs.Trace.(instant Pass) "new_incumbent";
+                      emit
+                        (Events.New_incumbent
+                           {
+                             context = index;
+                             vdd;
+                             clk_ns;
+                             value = inc.Checkpoint.value;
+                             area = inc.Checkpoint.eval.Cost.area;
+                             power = inc.Checkpoint.eval.Cost.power;
+                           });
+                      found
+                    end
+                    else st.committed
+                  in
+                  (* charged on completion, so the quota means "finish
+                     at most N contexts" and never interrupts the
+                     context it admitted *)
+                  Budget.note_context token;
+                  let st = { st with committed; cursor = index + 1 } in
+                  match on_finished st with
+                  | Ok () -> walk st (index + 1) rest
+                  | Error msg -> { st with failure = Some msg }
+                end))
+  in
+  walk
+    {
+      committed = snap0.Checkpoint.incumbent;
+      partial = None;
+      cursor = snap0.Checkpoint.cursor;
+      started = 0;
+      stop = None;
+      failure = None;
+    }
+    0 plan
+
+(* The checkpoint hook: snapshot the resumable state to [path]. *)
+let save_checkpoint ~token ~emit path (snap0 : Checkpoint.t) st =
+  let passes_run, moves_tried = progress snap0 token in
+  let snapshot =
+    { snap0 with Checkpoint.cursor = st.cursor; passes_run; moves_tried; incumbent = st.committed }
+  in
+  match Hsyn_obs.Trace.(span Checkpoint) "save" (fun () -> Checkpoint.save path snapshot) with
+  | Error msg -> Error (Printf.sprintf "cannot write checkpoint %s: %s" path msg)
+  | Ok () ->
+      emit (Events.Checkpoint_saved { path; contexts_done = st.cursor });
+      Ok ()
+
+(* After the sweep: the cache save, metrics export, coverage, the
+   [Run_finished] event, and the result — the committed incumbent, or
+   the partial context's when it is strictly better. *)
+let finish ~session ~token ~emit ?cache_dir ~elapsed_s (req : Request.t) dfg ~total
+    (snap0 : Checkpoint.t) st =
+  Option.iter (save_cache ~session ~emit) cache_dir;
+  Session.export_metrics session;
+  let completed = st.stop = None && st.failure = None in
+  let passes_run, moves_tried = progress snap0 token in
+  let coverage =
+    {
+      contexts_planned = total;
+      contexts_started = snap0.Checkpoint.cursor + st.started;
+      contexts_done = st.cursor;
+      passes_run;
+      moves_tried;
+      stop_reason = Option.map Budget.reason_name st.stop;
+    }
+  in
+  let finished result =
+    emit
+      (Events.Run_finished
+         { completed; contexts_done = st.cursor; contexts_planned = total; elapsed_s; result })
+  in
+  let best =
+    match st.partial with Some p when better p st.committed -> st.partial | _ -> st.committed
+  in
+  match (st.failure, best) with
+  | Some msg, _ ->
+      finished None;
+      Error msg
+  | None, None ->
+      finished None;
+      if completed then
+        Error
+          (Printf.sprintf "no feasible design for %s at sampling %.1f ns" dfg.Dfg.name
+             req.Request.sampling_ns)
+      else
+        Error
+          (Printf.sprintf "budget exhausted (%s) before any feasible design was found"
+             (Option.fold ~none:"?" ~some:Budget.reason_name st.stop))
+  | None, Some (i : Checkpoint.incumbent) ->
+      let r =
         {
-          Checkpoint.dfg_name = req.Request.dfg.Dfg.name;
+          design = i.Checkpoint.design;
+          ctx = i.Checkpoint.ctx;
+          eval = i.Checkpoint.eval;
           objective = req.Request.objective;
           sampling_ns = req.Request.sampling_ns;
-          flattened = req.Request.flatten;
-          contexts_planned = total;
-          cursor = 0;
-          passes_run = 0;
-          moves_tried = 0;
-          incumbent = None;
+          deadline_cycles = i.Checkpoint.deadline_cycles;
+          elapsed_s;
+          stats = i.Checkpoint.stats;
+          clib = i.Checkpoint.clib;
+          completed;
+          coverage;
         }
       in
-      let snapshot0 =
-        if not resume then Ok fresh_snapshot
-        else
-          match checkpoint with
-          | None -> Error "resume requested but no checkpoint path given"
-          | Some path when not (Sys.file_exists path) ->
-              (* a missing checkpoint is a cold start, not an error —
-                 this is what lets [--resume] be passed unconditionally *)
-              Ok fresh_snapshot
-          | Some path -> (
-              match Checkpoint.load path with
-              | Error msg -> Error msg
-              | Ok ck -> (
-                  match
-                    Checkpoint.compatible ck ~dfg_name:req.Request.dfg.Dfg.name
-                      ~objective:req.Request.objective ~sampling_ns:req.Request.sampling_ns
-                      ~flattened:req.Request.flatten
-                  with
-                  | Error msg -> Error msg
-                  | Ok () ->
-                      if ck.Checkpoint.contexts_planned <> total then
-                        Error
-                          (Printf.sprintf
-                             "checkpoint plans %d contexts but this request plans %d (different \
-                              config?)"
-                             ck.Checkpoint.contexts_planned total)
-                      else Ok ck))
+      finished (Some (Result.to_json_value r));
+      Ok r
+
+let synthesize ?(events = Events.null) ?token ?checkpoint ?(resume = false) ?cache_dir
+    (req : Request.t) =
+  let start_time = Unix.gettimeofday () in
+  let token = match token with Some t -> t | None -> Budget.start req.Request.budget in
+  (* every engine of this run (contexts, clib construction, nested
+     resynthesis) borrows from one session — shared across runs when
+     the request carries one *)
+  let session = match req.Request.session with Some s -> s | None -> Session.create () in
+  let emit payload = events { Events.at_s = Unix.gettimeofday () -. start_time; payload } in
+  Option.iter
+    (load_cache ~session ~config:req.Request.config ~lib:req.Request.lib ~emit)
+    cache_dir;
+  let dfg = Request.effective_dfg req in
+  let plan = Request.plan req in
+  let total = List.length plan in
+  match resume_point ?checkpoint ~resume req ~total with
+  | Error msg -> Error msg
+  | Ok snap0 ->
+      emit
+        (Events.Run_started
+           {
+             dfg = dfg.Dfg.name;
+             objective = Cost.objective_name req.Request.objective;
+             sampling_ns = req.Request.sampling_ns;
+             contexts_planned = total;
+             budget = req.Request.budget;
+           });
+      let save st =
+        match checkpoint with
+        | None -> Ok ()
+        | Some path -> save_checkpoint ~token ~emit path snap0 st
       in
-      match snapshot0 with
-      | Error msg -> Error msg
-      | Ok snap0 ->
-          emit
-            (Events.Run_started
-               {
-                 dfg = dfg.Dfg.name;
-                 objective = Cost.objective_name req.Request.objective;
-                 sampling_ns = req.Request.sampling_ns;
-                 contexts_planned = total;
-                 budget = req.Request.budget;
-               });
-          (* [committed] is the resumable state: incumbent over fully
-             finished contexts only — exactly what checkpoints store.
-             [final] may additionally absorb a partial last context; it
-             is what the caller gets back but never what resume seeds
-             from, keeping resumed runs bit-identical to uninterrupted
-             ones. *)
-          let committed = ref snap0.Checkpoint.incumbent in
-          let final = ref snap0.Checkpoint.incumbent in
-          let cursor = ref snap0.Checkpoint.cursor in
-          let started = ref 0 in
-          let stop_reason = ref None in
-          let save_checkpoint () =
-            match checkpoint with
-            | None -> ()
-            | Some path ->
-                Hsyn_obs.Trace.(span Checkpoint) "save" (fun () ->
-                    Checkpoint.save path
-                      {
-                        snap0 with
-                        Checkpoint.cursor = !cursor;
-                        passes_run = snap0.Checkpoint.passes_run + Budget.passes_used token;
-                        moves_tried = snap0.Checkpoint.moves_tried + Budget.moves_used token;
-                        incumbent = !committed;
-                      });
-                emit (Events.Checkpoint_saved { path; contexts_done = !cursor })
-          in
-          let better value inc =
-            match inc with Some (i : Checkpoint.incumbent) -> value < i.Checkpoint.value | None -> true
-          in
-          (try
-             List.iteri
-               (fun index (vdd, clk_ns, deadline) ->
-                 if index >= snap0.Checkpoint.cursor then begin
-                   (match Budget.exhausted token with Some r -> raise (Stop r) | None -> ());
-                   incr started;
-                   emit
-                     (Events.Context_started
-                        { index; total; vdd; clk_ns; deadline_cycles = deadline });
-                   match
-                     run_context ~session ~token ~events:emit ~index req config dfg
-                       (vdd, clk_ns, deadline)
-                   with
-                   | exception Budget.Interrupted r ->
-                       emit (Events.Context_finished { index; feasible = false });
-                       raise (Stop r)
-                   | improved, ctx, eval, stats, clib ->
-                       let feasible = eval.Cost.feasible in
-                       let value = Cost.objective_value req.Request.objective eval in
-                       let inc =
-                         if feasible then
-                           Some
-                             {
-                               Checkpoint.design = improved;
-                               ctx;
-                               eval;
-                               deadline_cycles = deadline;
-                               value;
-                               stats;
-                               clib;
-                             }
-                         else None
-                       in
-                       if stats.Pass.interrupted then begin
-                         (* partial context: usable as a final answer,
-                            not as resumable state *)
-                         emit (Events.Context_finished { index; feasible });
-                         (match inc with
-                         | Some i when better value !final -> final := Some i
-                         | _ -> ());
-                         let r =
-                           match Budget.exhausted token with
-                           | Some r -> r
-                           | None -> Budget.Cancelled
-                         in
-                         raise (Stop r)
-                       end;
-                       emit (Events.Context_finished { index; feasible });
-                       (match inc with
-                       | Some i when better value !committed ->
-                           committed := Some i;
-                           Hsyn_obs.Trace.(instant Pass) "new_incumbent";
-                           emit
-                             (Events.New_incumbent
-                                {
-                                  context = index;
-                                  vdd;
-                                  clk_ns;
-                                  value;
-                                  area = eval.Cost.area;
-                                  power = eval.Cost.power;
-                                })
-                       | _ -> ());
-                       (* keep [final] in sync with the committed state *)
-                       (match (!committed, !final) with
-                       | Some c, Some f when c.Checkpoint.value < f.Checkpoint.value -> final := Some c
-                       | Some _, None -> final := !committed
-                       | _ -> ());
-                       (* charged on completion, so the quota means
-                          "finish at most N contexts" and never
-                          interrupts the context it admitted *)
-                       Budget.note_context token;
-                       cursor := index + 1;
-                       save_checkpoint ()
-                 end)
-               plan
-           with Stop r ->
-             stop_reason := Some r;
-             emit (Events.Budget_exhausted { reason = Budget.reason_name r });
-             save_checkpoint ());
-          let elapsed_s = Unix.gettimeofday () -. start_time in
-          (match cache_dir with
-          | Some dir -> save_cache ~session ~emit dir
-          | None -> ());
-          Session.export_metrics session;
-          let completed = !stop_reason = None in
-          let coverage =
-            {
-              contexts_planned = total;
-              contexts_started = snap0.Checkpoint.cursor + !started;
-              contexts_done = !cursor;
-              passes_run = snap0.Checkpoint.passes_run + Budget.passes_used token;
-              moves_tried = snap0.Checkpoint.moves_tried + Budget.moves_used token;
-              stop_reason = Option.map Budget.reason_name !stop_reason;
-            }
-          in
-          let finish_events result_json =
-            emit
-              (Events.Run_finished
-                 {
-                   completed;
-                   contexts_done = !cursor;
-                   contexts_planned = total;
-                   elapsed_s;
-                   result = result_json;
-                 })
-          in
-          (match !final with
-          | None ->
-              finish_events None;
-              if completed then
-                Error
-                  (Printf.sprintf "no feasible design for %s at sampling %.1f ns" dfg.Dfg.name
-                     req.Request.sampling_ns)
-              else
-                Error
-                  (Printf.sprintf "budget exhausted (%s) before any feasible design was found"
-                     (Option.fold ~none:"?" ~some:Budget.reason_name !stop_reason))
-          | Some (i : Checkpoint.incumbent) ->
-              let r =
-                {
-                  design = i.Checkpoint.design;
-                  ctx = i.Checkpoint.ctx;
-                  eval = i.Checkpoint.eval;
-                  objective = req.Request.objective;
-                  sampling_ns = req.Request.sampling_ns;
-                  deadline_cycles = i.Checkpoint.deadline_cycles;
-                  elapsed_s;
-                  contexts_tried = coverage.contexts_started;
-                  stats = i.Checkpoint.stats;
-                  clib = i.Checkpoint.clib;
-                  completed;
-                  coverage;
-                }
-              in
-              finish_events (Some (Result.to_json_value r));
-              Ok r))
+      let st = sweep ~session ~token ~emit ~on_finished:save req dfg plan snap0 in
+      (* a stopped sweep still snapshots how far it got *)
+      let st =
+        match st.stop with
+        | None -> st
+        | Some _ -> ( match save st with Ok () -> st | Error msg -> { st with failure = Some msg })
+      in
+      let elapsed_s = Unix.gettimeofday () -. start_time in
+      finish ~session ~token ~emit ?cache_dir ~elapsed_s req dfg ~total snap0 st
 
 let rescale_vdd ?(config = default_config) ?session (r : result) vdds =
   let rng = Rng.create config.seed in

@@ -52,7 +52,6 @@ val default_config : config
 module Config : sig
   type t = config
 
-  val default : t
 
   val validate : t -> (t, string) result
 end
@@ -126,7 +125,6 @@ type result = {
   sampling_ns : float;
   deadline_cycles : int;
   elapsed_s : float;  (** wall-clock synthesis time *)
-  contexts_tried : int;  (** (V_dd, clock) points actually explored *)
   stats : Pass.stats;  (** improvement statistics of the winning context *)
   clib : Clib.t;  (** complex library of the winning context *)
   completed : bool;  (** the full sweep ran (no budget interruption) *)

@@ -169,9 +169,6 @@ let policy_of_json base v =
 
 (* -- clib effort ------------------------------------------------------- *)
 
-(* The [trace] trimming function is not serializable; it round-trips
-   to the identity default, which is what every shipped configuration
-   uses anyway. *)
 let effort_to_json (e : Clib.effort) =
   Json.Obj
     [
@@ -226,62 +223,59 @@ let config_to_json (c : Synthesize.Config.t) =
 
 let config_of_json v =
   let* fields = as_obj "config" v in
-  let* c =
-    fold_fields "config" fields Synthesize.Config.default
-      (fun (c : Synthesize.Config.t) key v ->
-        match key with
-        | "max_moves" ->
-            let* n = as_int v in
-            Ok { c with Synthesize.max_moves = n }
-        | "max_passes" ->
-            let* n = as_int v in
-            Ok { c with Synthesize.max_passes = n }
-        | "max_candidates" ->
-            let* n = as_int v in
-            Ok { c with Synthesize.max_candidates = n }
-        | "trace_length" ->
-            let* n = as_int v in
-            Ok { c with Synthesize.trace_length = n }
-        | "trace_kind" ->
-            let* s = as_string v in
-            let* k = trace_kind_of_string s in
-            Ok { c with Synthesize.trace_kind = k }
-        | "seed" ->
-            let* n = as_int v in
-            Ok { c with Synthesize.seed = n }
-        | "vdd_candidates" ->
-            let* l = as_float_list v in
-            Ok { c with Synthesize.vdd_candidates = l }
-        | "clk_candidates" -> (
-            match v with
-            | Json.Null -> Ok { c with Synthesize.clk_candidates = None }
-            | v ->
-                let* l = as_float_list v in
-                Ok { c with Synthesize.clk_candidates = Some l })
-        | "max_clocks" ->
-            let* n = as_int v in
-            Ok { c with Synthesize.max_clocks = n }
-        | "enable_resynth" ->
-            let* b = as_bool v in
-            Ok { c with Synthesize.enable_resynth = b }
-        | "enable_embed" ->
-            let* b = as_bool v in
-            Ok { c with Synthesize.enable_embed = b }
-        | "enable_split" ->
-            let* b = as_bool v in
-            Ok { c with Synthesize.enable_split = b }
-        | "enable_rewrite" ->
-            let* b = as_bool v in
-            Ok { c with Synthesize.enable_rewrite = b }
-        | "clib" ->
-            let* e = effort_of_json c.Synthesize.clib_effort v in
-            Ok { c with Synthesize.clib_effort = e }
-        | "engine" ->
-            let* p = policy_of_json c.Synthesize.engine v in
-            Ok { c with Synthesize.engine = p }
-        | _ -> Error "unknown field")
-  in
-  Synthesize.Config.validate c
+  fold_fields "config" fields Synthesize.default_config
+    (fun (c : Synthesize.Config.t) key v ->
+      match key with
+      | "max_moves" ->
+          let* n = as_int v in
+          Ok { c with Synthesize.max_moves = n }
+      | "max_passes" ->
+          let* n = as_int v in
+          Ok { c with Synthesize.max_passes = n }
+      | "max_candidates" ->
+          let* n = as_int v in
+          Ok { c with Synthesize.max_candidates = n }
+      | "trace_length" ->
+          let* n = as_int v in
+          Ok { c with Synthesize.trace_length = n }
+      | "trace_kind" ->
+          let* s = as_string v in
+          let* k = trace_kind_of_string s in
+          Ok { c with Synthesize.trace_kind = k }
+      | "seed" ->
+          let* n = as_int v in
+          Ok { c with Synthesize.seed = n }
+      | "vdd_candidates" ->
+          let* l = as_float_list v in
+          Ok { c with Synthesize.vdd_candidates = l }
+      | "clk_candidates" -> (
+          match v with
+          | Json.Null -> Ok { c with Synthesize.clk_candidates = None }
+          | v ->
+              let* l = as_float_list v in
+              Ok { c with Synthesize.clk_candidates = Some l })
+      | "max_clocks" ->
+          let* n = as_int v in
+          Ok { c with Synthesize.max_clocks = n }
+      | "enable_resynth" ->
+          let* b = as_bool v in
+          Ok { c with Synthesize.enable_resynth = b }
+      | "enable_embed" ->
+          let* b = as_bool v in
+          Ok { c with Synthesize.enable_embed = b }
+      | "enable_split" ->
+          let* b = as_bool v in
+          Ok { c with Synthesize.enable_split = b }
+      | "enable_rewrite" ->
+          let* b = as_bool v in
+          Ok { c with Synthesize.enable_rewrite = b }
+      | "clib" ->
+          let* e = effort_of_json c.Synthesize.clib_effort v in
+          Ok { c with Synthesize.clib_effort = e }
+      | "engine" ->
+          let* p = policy_of_json c.Synthesize.engine v in
+          Ok { c with Synthesize.engine = p }
+      | _ -> Error "unknown field")
 
 (* -- budget ------------------------------------------------------------ *)
 
@@ -336,7 +330,7 @@ type doc = {
 }
 
 let make_doc ?(objective = Cost.Area) ?(timing = Laxity 2.2) ?(flatten = false)
-    ?(config = Synthesize.Config.default) ?(budget = Budget.unlimited) ?cache ?tenant source =
+    ?(config = Synthesize.default_config) ?(budget = Budget.unlimited) ?cache ?tenant source =
   { source; objective; timing; flatten; config; budget; cache; tenant }
 
 let source_to_json = function

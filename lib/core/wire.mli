@@ -58,13 +58,12 @@ val error_of_json : Json.t -> (error, string) result
 
 (** {1 Config and budget codecs}
 
-    Round-trip codecs: [of_json (to_json c) = Ok c] up to the
-    unserializable [clib_effort.trace] function (which always
-    round-trips to the identity default). [of_json] starts from
-    {!Synthesize.Config.default} / {!Budget.unlimited}, overrides the
-    fields present, rejects fields it does not know, and runs the
-    usual validation, so a document can carry just the overrides it
-    cares about. *)
+    Round-trip codecs: [of_json (to_json c) = Ok c]. [of_json] starts
+    from {!Synthesize.default_config} / {!Budget.unlimited}, overrides
+    the fields present and rejects fields it does not know, so a
+    document can carry just the overrides it cares about. Budget values
+    are validated here; config values by {!Synthesize.Request.make},
+    which {!to_request} runs. *)
 
 val config_to_json : Synthesize.Config.t -> Json.t
 val config_of_json : Json.t -> (Synthesize.Config.t, string) result

@@ -1,13 +1,13 @@
 (** Enable switches of the observability layer.
 
-    Three independent features — span tracing, the metrics registry,
-    and per-stage wall-clock profiling — share one [armed] atomic that
-    is true when any of them is on. Probes ({!Trace.span}) read only
+    Two independent features — span tracing and the metrics registry
+    (which also backs [hsyn synth --profile]) — share one [armed]
+    atomic that is true when either is on. Probes ({!Trace.span}) read only
     [armed] on the disabled path, which is the whole overhead budget:
     one atomic load per probe when observability is off. *)
 
 val armed : bool Atomic.t
-(** [trace || metrics || profile]; read-only for probes. *)
+(** [trace || metrics]; read-only for probes. *)
 
 val log_level : int Atomic.t
 (** Integer threshold of the structured logger ({!Log.level_int}
@@ -18,10 +18,5 @@ val log_level : int Atomic.t
 val set_trace : bool -> unit
 val set_metrics : bool -> unit
 
-val set_profile : bool -> unit
-(** Also toggles {!Hsyn_util.Timing.set_enabled}, which owns the
-    actual sample storage behind [hsyn synth --profile]. *)
-
 val trace_enabled : unit -> bool
 val metrics_enabled : unit -> bool
-val profile_enabled : unit -> bool

@@ -378,6 +378,44 @@ let test_resume_missing_is_cold_start () =
   checkb "cold start completed" true r.S.completed;
   if Sys.file_exists path then Sys.remove path
 
+(* An unwritable checkpoint path ends the run with an [Error] naming
+   the path — both for the save after a finished context and for the
+   save when the budget stops the sweep — and the event stream still
+   closes with a result-less [Run_finished]. *)
+let test_checkpoint_write_failure () =
+  let b = Suite.test1 () in
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "hsyn-no-such-dir" in
+  let path = Filename.concat dir "x.ckpt" in
+  let contains s needle =
+    let nh = String.length s and nn = String.length needle in
+    let rec go i = i + nn <= nh && (String.sub s i nn = needle || go (i + 1)) in
+    go 0
+  in
+  let run ?token budget =
+    let events = ref [] in
+    let sink (e : Events.t) = events := e.Events.payload :: !events in
+    let r = S.synthesize ~events:sink ?token ~checkpoint:path (request ~budget b) in
+    (r, List.rev !events)
+  in
+  let expect_failure label (r, events) =
+    (match r with
+    | Ok _ -> Alcotest.fail (label ^ ": unwritable checkpoint accepted")
+    | Error msg -> checkb (label ^ ": error names the path") true (contains msg path));
+    checkb (label ^ ": nothing saved") false
+      (List.exists (function Events.Checkpoint_saved _ -> true | _ -> false) events);
+    checkb (label ^ ": run finished without a result") true
+      (match List.rev events with
+      | Events.Run_finished { result = None; completed = false; _ } :: _ -> true
+      | _ -> false)
+  in
+  let one_context =
+    match Budget.make ~max_contexts:1 () with Ok x -> x | Error e -> Alcotest.fail e
+  in
+  expect_failure "per-context save" (run one_context);
+  let token = Budget.start Budget.unlimited in
+  Budget.cancel token;
+  expect_failure "save after stop" (run ~token Budget.unlimited)
+
 (* ------------------------------------------------------------------ *)
 (* result JSON *)
 
@@ -441,6 +479,7 @@ let () =
           tc "schema versions" test_checkpoint_schema_versions;
           tc "resume mid rewrite sweep" test_resume_mid_rewrite_sweep;
           tc "missing is cold start" test_resume_missing_is_cold_start;
+          tc "write failure is an error" test_checkpoint_write_failure;
         ] );
       ("json", [ tc "result json" test_result_json; tc "builder" test_json_builder ]);
     ]

@@ -21,33 +21,27 @@ let checki = Alcotest.check Alcotest.int
 let ctx = Tu.ctx ()
 let _lib = Library.default
 
-let env ?(registry = Registry.create ()) ?(objective = Cost.Area) ?(deadline = 1000)
-    ?(complexes = Tu.no_complexes) (dfg : Dfg.t) =
+(* the sampling period is always the deadline at 20 ns per cycle *)
+let sampling_ns (cs : Sched.constraints) = Float.of_int cs.Sched.deadline *. 20.
+
+let env ?(objective = Cost.Area) ?(deadline = 1000) ?(complexes = Tu.no_complexes) (dfg : Dfg.t) =
   let cs = Sched.relaxed ~deadline dfg in
-  let sampling_ns = Float.of_int deadline *. 20. in
-  let trace = Tu.trace dfg in
   {
-    Moves.ctx;
-    cs;
-    sampling_ns;
-    trace;
-    objective;
-    engine = Engine.create ~ctx ~cs ~sampling_ns ~trace ~objective ();
-    registry;
+    Moves.engine =
+      Engine.create ~ctx ~cs ~sampling_ns:(sampling_ns cs) ~trace:(Tu.trace dfg) ~objective ();
     complexes;
     resynth = None;
     max_candidates = 40;
-    allow_embed = true;
-    allow_split = true;
-    allow_rewrite = true;
+    families = Moves.all_families;
     fresh_names = 0;
   }
 
-let eval_of env d =
-  Cost.evaluate env.Moves.ctx env.Moves.cs ~sampling_ns:env.Moves.sampling_ns
-    ~trace:env.Moves.trace d
+let eval_of ?with_power env d =
+  let e = env.Moves.engine in
+  Cost.evaluate ?with_power (Engine.ctx e) (Engine.constraints e)
+    ~sampling_ns:(sampling_ns (Engine.constraints e)) ~trace:(Engine.trace e) d
 
-let obj_value env d = Cost.objective_value env.Moves.objective (eval_of env d)
+let obj_value env d = Cost.objective_value (Engine.objective env.Moves.engine) (eval_of env d)
 
 (* ------------------------------------------------------------------ *)
 (* Cost *)
@@ -78,10 +72,7 @@ let test_cost_skip_power () =
   let g = Tu.small_graph () in
   let d = Tu.initial ctx g in
   let e = env g in
-  let ev =
-    Cost.evaluate ~with_power:false e.Moves.ctx e.Moves.cs ~sampling_ns:e.Moves.sampling_ns
-      ~trace:e.Moves.trace d
-  in
+  let ev = eval_of ~with_power:false e d in
   checkb "power skipped" true (Float.is_nan ev.Cost.power)
 
 (* ------------------------------------------------------------------ *)
@@ -150,29 +141,16 @@ let test_move_b_resynthesizes_with_slack () =
   let registry, g = Tu.hier_graph () in
   let d = Tu.initial ~registry ctx g in
   let resynth ctx cs objective part =
-    let sampling_ns = Float.of_int cs.Sched.deadline *. 20. in
-    let trace = Tu.trace part.Design.dfg in
-    let e =
-      {
-        Moves.ctx;
-        cs;
-        sampling_ns;
-        trace;
-        objective;
-        engine = Engine.create ~ctx ~cs ~sampling_ns ~trace ~objective ();
-        registry;
-        complexes = Tu.no_complexes;
-        resynth = None;
-        max_candidates = 20;
-        allow_embed = true;
-        allow_split = true;
-        allow_rewrite = true;
-        fresh_names = 0;
-      }
+    let effort =
+      { Clib.default_effort with Clib.max_moves = 4; max_passes = 1; max_candidates = 20 }
     in
-    fst (Pass.improve e ~max_moves:4 ~max_passes:1 part)
+    let _, d, _ =
+      Pass.run ~effort ~families:Moves.all_families ~complexes:Tu.no_complexes ~ctx ~cs
+        ~sampling_ns:(sampling_ns cs) ~trace:(Tu.trace part.Design.dfg) ~objective part
+    in
+    d
   in
-  let e = { (env ~registry ~objective:Cost.Power g) with Moves.resynth = Some resynth } in
+  let e = { (env ~objective:Cost.Power g) with Moves.resynth = Some resynth } in
   match Moves.best_select_or_resynth e (obj_value e d) d with
   | None -> () (* acceptable: no profitable resynthesis *)
   | Some m -> checkb "valid candidate" true (Design.validate ctx m.Moves.candidate = Ok ())
@@ -183,7 +161,7 @@ let test_module_sharing_move () =
      both calls onto one instance, and under Area it should win *)
   let registry, g = Tu.hier_graph () in
   let d = Tu.initial ~registry ctx g in
-  let e = env ~registry g in
+  let e = env g in
   match Moves.best_merge e (obj_value e d) d with
   | None -> Alcotest.fail "expected a sharing move"
   | Some m ->
@@ -256,6 +234,7 @@ let test_clib_builds_variants () =
   let registry, g = Tu.hier_graph () in
   let clib =
     Clib.build ctx registry ~rng:(Rng.create 5) ~trace_length:8 ~effort:Clib.default_effort
+      ~families:Moves.all_families
       ~top:g
   in
   Alcotest.check (Alcotest.list Alcotest.string) "behaviors" [ "mac" ] (Clib.behaviors clib);
@@ -279,6 +258,7 @@ let test_clib_multi_variant_behavior () =
   let g = B.finish b in
   let clib =
     Clib.build ctx registry ~rng:(Rng.create 5) ~trace_length:8 ~effort:Clib.default_effort
+      ~families:Moves.all_families
       ~top:g
   in
   (* two variants × three optimization points *)

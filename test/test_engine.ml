@@ -14,6 +14,7 @@ module Fu = Hsyn_modlib.Fu
 module Sched = Hsyn_sched.Sched
 module Cost = Hsyn_core.Cost
 module Engine = Hsyn_core.Engine
+module Session = Hsyn_core.Session
 module Clib = Hsyn_core.Clib
 module S = Hsyn_core.Synthesize
 module Suite = Hsyn_benchmarks.Suite
@@ -368,6 +369,42 @@ let test_synthesis_determinism () =
   checkb "engine-on equals direct" true (same_eval direct seq);
   checkb "jobs=4 equals jobs=1" true (same_eval seq par)
 
+(* The family switches reach every improvement run of a synthesis,
+   complex-library construction included: a family that is off
+   generates no candidate anywhere in the session. *)
+let test_family_switches_reach_clib () =
+  let b = Suite.hier_paulin () in
+  let min_ns = S.min_sampling_ns Library.default b.Suite.registry b.Suite.dfg in
+  let small =
+    {
+      S.default_config with
+      S.max_moves = 4;
+      max_passes = 1;
+      max_candidates = 16;
+      max_clocks = 1;
+      clib_effort = { Clib.default_effort with Clib.max_moves = 2; max_passes = 1 };
+    }
+  in
+  let generated family config =
+    let session = Session.create () in
+    (match
+       Result.bind
+         (S.Request.make ~config ~session ~lib:Library.default ~registry:b.Suite.registry
+            ~dfg:b.Suite.dfg ~objective:Cost.Area ~sampling_ns:(2.2 *. min_ns) ())
+         S.synthesize
+     with
+    | Ok _ -> ()
+    | Error msg -> Alcotest.failf "synthesis failed: %s" msg);
+    match List.assoc_opt family (Session.family_totals session) with
+    | Some c -> c.Session.generated
+    | None -> 0
+  in
+  checkb "E generates when on" true (generated "E:rewrite" small > 0);
+  checki "no E candidates when off" 0
+    (generated "E:rewrite" { small with S.enable_rewrite = false });
+  checkb "D generates when on" true (generated "D:split" small > 0);
+  checki "no D candidates when off" 0 (generated "D:split" { small with S.enable_split = false })
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "engine"
@@ -396,4 +433,5 @@ let () =
           tc "family counters" test_family_counters;
         ] );
       ("determinism", [ tc "jobs-independent synthesis" test_synthesis_determinism ]);
+      ("switches", [ tc "family switches reach clib" test_family_switches_reach_clib ]);
     ]

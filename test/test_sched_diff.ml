@@ -58,6 +58,19 @@ let test_suite_schedules () =
         [ (5.0, 20.0); (3.3, 34.0) ])
     (Suite.all ())
 
+(* Two equal-priority jobs competing for one adder: the tie goes to the
+   lower job index, so [s1] starts at 0 and [s2] at 1 under both
+   kernels. The suite graphs never pose this tie on one instance. *)
+let test_equal_priority_tie_break () =
+  let ctx = Tu.ctx () in
+  let g = Tu.small_graph () in
+  let d = Tu.initial ctx g in
+  let d = Design.compact (Design.with_binding d (Tu.node_id g "s2") (Tu.inst_of d "s1")) in
+  let event = Sched.schedule ctx (Sched.relaxed ~deadline:1_000 g) d in
+  checki "event: s1 first" 0 event.Sched.start.(Tu.node_id g "s1");
+  checki "event: s2 waits for the adder" 1 event.Sched.start.(Tu.node_id g "s2");
+  ignore (diff_schedule "shared adder" ctx d ~deadline:1_000)
+
 (* ALAP must never start a node before its ASAP slot, and must agree
    with ASAP on which nodes execute. *)
 let test_alap_vs_asap () =
@@ -144,6 +157,7 @@ let () =
         [
           Alcotest.test_case "suite schedules" `Quick test_suite_schedules;
           Alcotest.test_case "alap vs asap" `Quick test_alap_vs_asap;
+          Alcotest.test_case "equal-priority tie break" `Quick test_equal_priority_tie_break;
           Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
         ] );
       ( "synthesis",
