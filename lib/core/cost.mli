@@ -41,14 +41,16 @@ val schedule_stage :
   Design.ctx ->
   Sched.constraints ->
   Design.t ->
-  eval
+  eval * Sched.schedule
 (** The cheap stage: list scheduling plus the area model. [power] and
-    [energy_sample] are [nan]. Equals [evaluate ~with_power:false].
+    [energy_sample] are [nan]; the eval equals [evaluate
+    ~with_power:false]. Also returns the schedule, for {!power_stage}.
     [?prepared] and [?sched_cache] are forwarded to {!Sched.schedule}
     (and the cache to the area model's module profiles). *)
 
 val power_stage :
   ?sched_cache:Sched.Cache.t ->
+  ?schedule:Sched.schedule ->
   Design.ctx ->
   Sched.constraints ->
   sampling_ns:float ->
@@ -58,7 +60,9 @@ val power_stage :
   eval
 (** The expensive stage: run the switched-capacitance trace simulation
     and fill [power]/[energy_sample] into a {!schedule_stage} result
-    (identity on infeasible designs). *)
+    (identity on infeasible designs). [?schedule] is the schedule
+    {!schedule_stage} returned for the same design and constraints;
+    without it the design is scheduled again. *)
 
 val objective_value : objective -> eval -> float
 (** The scalar being minimized: area, or power plus a small area

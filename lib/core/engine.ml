@@ -176,14 +176,18 @@ let stage1 t (design : Design.t) =
   in
   Cost.schedule_stage ~sched_cache:t.sched_cache ?prepared t.ctx t.cs design
 
-let stage2 t design partial =
-  Cost.power_stage ~sched_cache:t.sched_cache t.ctx t.cs ~sampling_ns:t.sampling_ns
+(* [schedule] is stage 1's schedule of the same design, when the
+   caller still holds it; without it the power stage reschedules. *)
+let stage2 ?schedule t design partial =
+  Cost.power_stage ~sched_cache:t.sched_cache ?schedule t.ctx t.cs ~sampling_ns:t.sampling_ns
     ~trace:t.trace design partial
 
-(* Fill the power stage into an entry; a no-op when already done.
-   Returns true when a simulation actually ran. Safe under sharing: a
-   concurrent engine upgrading the same entry computes the same bits,
-   so the losing writer's [Atomic.set] is idempotent. *)
+(* Fill the power stage into a cached entry; a no-op when already done.
+   Returns true when a simulation actually ran. The entry keeps no
+   schedule, so this is the one path that schedules a design twice.
+   Safe under sharing: a concurrent engine upgrading the same entry
+   computes the same bits, so the losing writer's [Atomic.set] is
+   idempotent. *)
 let complete_power t (e : entry) =
   match Atomic.get e.e_state with
   | Session.Full _ -> false
@@ -191,15 +195,15 @@ let complete_power t (e : entry) =
       Atomic.set e.e_state (Session.Full (stage2 t e.e_design ev));
       true
 
-let fresh_entry t ?(need_power = false) design =
-  let partial = stage1 t design in
+let fresh_entry t ~need_power design =
+  let partial, schedule = stage1 t design in
   let state =
     (* infeasible designs never need a simulation — born complete *)
-    if partial.Cost.feasible then Session.Partial partial else Session.Full partial
+    if not partial.Cost.feasible then Session.Full partial
+    else if need_power then Session.Full (stage2 ~schedule t design partial)
+    else Session.Partial partial
   in
-  let e = { e_design = design; e_state = Atomic.make state; e_from_disk = false } in
-  if need_power then ignore (complete_power t e : bool);
-  e
+  { e_design = design; e_state = Atomic.make state; e_from_disk = false }
 
 let eval_internal t ~need_power design =
   prime_prepared t design;
@@ -228,6 +232,7 @@ type 'a cand = {
   c_tag : 'a;
   c_fam : string option;
   c_entry : entry;
+  c_sched : Sched.schedule option;  (* stage 1's schedule, when computed in this batch *)
 }
 
 let take_n n seq =
@@ -314,8 +319,8 @@ let best_of t ?family ~limit seq =
         | Some e, _ ->
             bump t ?fam:(fam tag)
               { zero with cache_hits = 1; disk_hits = (if e.e_from_disk then 1 else 0) };
-            { c_idx = i; c_tag = tag; c_fam = fam tag; c_entry = e }
-        | None, Some partial ->
+            { c_idx = i; c_tag = tag; c_fam = fam tag; c_entry = e; c_sched = None }
+        | None, Some (partial, schedule) ->
             bump t ?fam:(fam tag) { zero with cache_misses = 1; evaluated = 1 };
             let e =
               match Hashtbl.find_opt batch_seen fp with
@@ -330,7 +335,7 @@ let best_of t ?family ~limit seq =
             Atomic.set e.e_state
               (if partial.Cost.feasible then Session.Partial partial else Session.Full partial);
             cache_insert t fp e;
-            { c_idx = i; c_tag = tag; c_fam = fam tag; c_entry = e }
+            { c_idx = i; c_tag = tag; c_fam = fam tag; c_entry = e; c_sched = Some schedule }
         | None, None -> assert false)
       probed stage1_results
   in
@@ -348,7 +353,7 @@ let best_of t ?family ~limit seq =
      let evals =
        try
          Pool.map_array ~cancel pool
-           (fun c -> stage2 t c.c_entry.e_design (Session.entry_eval c.c_entry))
+           (fun c -> stage2 ?schedule:c.c_sched t c.c_entry.e_design (Session.entry_eval c.c_entry))
            pending
        with Pool.Cancelled -> raise_interrupted t
      in

@@ -604,7 +604,8 @@ let rebind_rewritten env (d : Design.t) (g' : Dfg.t) =
    committed. *)
 let rewrite_candidates env (d : Design.t) : candidate Seq.t =
   let bump name = if Metrics.is_enabled () then Metrics.incr (Metrics.counter name) in
-  let reference = lazy (Sim.outputs d (Sim.run d (Engine.trace env.engine))) in
+  let simulate d = Sim.outputs d (Sim.run ~cache:(sched_cache env) d (Engine.trace env.engine)) in
+  let reference = lazy (simulate d) in
   List.to_seq (Rewrite_dfg.candidates d.Design.dfg)
   |> Seq.filter_map (fun (description, g') ->
          bump "moves.rewrite.candidates";
@@ -613,7 +614,7 @@ let rewrite_candidates env (d : Design.t) : candidate Seq.t =
              bump "moves.rewrite.rejected_bind";
              None
          | Some d' -> (
-             match Sim.outputs d' (Sim.run d' (Engine.trace env.engine)) with
+             match simulate d' with
              | outs when outs = Lazy.force reference -> Some ((Rewrite, description), d')
              | _ ->
                  bump "moves.rewrite.rejected_sim";

@@ -19,9 +19,9 @@ val source_of_value : Design.t -> Hsyn_dfg.Dfg.port -> source
 
 val port_feeds : Design.t -> int -> (int * Hsyn_dfg.Dfg.port) list
 (** The (stable port key, feeding value) pairs of an instance, over
-    every node bound to it — the basis for both mux-area counting and
-    per-port activity streams in {!Power}. Chain groups flatten their
-    external inputs in member order. *)
+    every node bound to it — the basis for mux-area counting; {!Power}
+    keys its per-port activity streams the same way. Chain groups
+    flatten their external inputs in member order. *)
 
 type breakdown = {
   units : float;

@@ -14,23 +14,34 @@
     bound to them), register writes, multiplexer and wire transfers,
     and the controller's per-cycle overhead. Energies are in
     capacitance units; multiply by [Voltage.energy_factor] and divide
-    by the sampling period for power. *)
+    by the sampling period for power.
+
+    One estimate simulates the trace once ({!Sim.run}), builds an
+    activity plan of the (design, schedule) — per port the value ids
+    it sees in activation order, per register its writes in
+    availability order — and sums integer Hamming distances over the
+    value streams. The list-based implementation this replaced is kept
+    as [Hsyn_fuzz.Ref_power]; results are bit-identical. *)
 
 module Design = Hsyn_rtl.Design
 module Sched = Hsyn_sched.Sched
 
 val energy_per_sample :
   ?sched_cache:Sched.Cache.t ->
+  ?schedule:Sched.schedule ->
   Design.ctx ->
   Sched.constraints ->
   Design.t ->
   int array list ->
   float
 (** Average switched capacitance per design invocation over the given
-    trace (raw cap units, no voltage scaling). The simulation schedules
-    the design (and nested module parts, recursively); [?sched_cache]
-    memoizes that work across calls — without it a transient cache
-    scoped to this call is used. *)
+    trace (raw cap units, no voltage scaling). The estimate needs the
+    design's schedule: pass [?schedule] when the caller already has
+    [Sched.schedule ctx cs design] (the cost oracle hands over its
+    stage-1 schedule), otherwise it is computed here. Module parts use
+    the schedules their profiles came from ({!Sched.module_schedule}).
+    [?sched_cache] memoizes that work across calls — without it a
+    transient cache scoped to this call is used. *)
 
 val power :
   ?sched_cache:Sched.Cache.t ->

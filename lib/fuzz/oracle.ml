@@ -532,6 +532,54 @@ let check_rewrite rng (prog : Text.program) =
   flat_go (Rewrite.candidates flat)
 
 (* ------------------------------------------------------------------ *)
+(* power-diff: the compiled simulator and the array power kernel are  *)
+(* bit-identical to the list-based reference model.                   *)
+
+(* One design: full value streams, the estimate scheduling for itself,
+   and the estimate on the cost oracle's handed-over schedule. *)
+let diff_power what ctx cs ~sampling_ns trace (d : Design.t) =
+  if Sim.run d trace <> Ref_power.run d trace then fail "%s: value streams differ" what
+  else
+    let want = Ref_power.energy_per_sample ctx cs d trace in
+    let got = Hsyn_eval.Power.energy_per_sample ctx cs d trace in
+    if not (same_float got want) then fail "%s: energy %h <> reference %h" what got want
+    else
+      let e = Cost.evaluate ctx cs ~sampling_ns ~trace d in
+      if e.Cost.feasible && not (same_float e.Cost.energy_sample want) then
+        fail "%s: cost oracle energy %h <> reference %h" what e.Cost.energy_sample want
+      else Ok ()
+
+let check_power_diff rng (prog : Text.program) =
+  let ctx = ctx5 in
+  let d0 = initial_design ctx prog in
+  let dfg = d0.Design.dfg in
+  let deadline =
+    max 1 (Sched.schedule ctx (Sched.relaxed ~deadline:10000 dfg) d0).Sched.makespan
+    + Rng.int rng 3
+  in
+  let cs = Sched.relaxed ~deadline dfg in
+  let sampling_ns = float_of_int deadline *. ctx.Design.clk_ns *. 2. in
+  let trace n_inputs = Trace.generate (Rng.split rng) Trace.default_kind ~n_inputs ~length:5 in
+  let t0 = trace (Array.length dfg.Dfg.inputs) in
+  let rec neighbourhood i = function
+    | [] -> Ok ()
+    | c :: rest ->
+        let* () = diff_power (Printf.sprintf "candidate %d" i) ctx cs ~sampling_ns t0 c in
+        neighbourhood (i + 1) rest
+  in
+  (* [candidates] starts with the initial design itself *)
+  let* () = neighbourhood 0 (candidates ctx d0) in
+  let* req = small_request ~seed:(Rng.int rng 1_000_000) prog in
+  match S.synthesize req with
+  | Error _ -> Ok ()
+  | Ok r ->
+      let d = r.S.design in
+      let cs = Sched.relaxed ~deadline:r.S.deadline_cycles d.Design.dfg in
+      diff_power "final design" r.S.ctx cs ~sampling_ns:req.S.Request.sampling_ns
+        (trace (Array.length d.Design.dfg.Dfg.inputs))
+        d
+
+(* ------------------------------------------------------------------ *)
 
 let all =
   [
@@ -571,6 +619,11 @@ let all =
       name = "rewrite";
       doc = "algebraic rewrite candidates ≡ original graph through simulation";
       check = check_rewrite;
+    };
+    {
+      name = "power-diff";
+      doc = "compiled Sim and array power kernel ≡ list-based reference (Ref_power), bit for bit";
+      check = check_power_diff;
     };
   ]
 

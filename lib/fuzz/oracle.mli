@@ -27,7 +27,14 @@
       behavior's function (checked through [Sim]) and the
       shared-resource module invariants. Module {e profiles} may
       legitimately change (unit upgrades), so they are deliberately
-      not compared. *)
+      not compared.
+    - [rewrite] — every algebraic rewrite candidate simulates
+      bitwise-identically to its original graph.
+    - [power-diff] — {!Hsyn_eval.Sim.run} value streams and
+      {!Hsyn_eval.Power.energy_per_sample} (scheduling for itself, and
+      through {!Hsyn_core.Cost.evaluate}'s schedule hand-off) are
+      bit-identical to the reference {!Ref_power}, on the initial
+      design, its candidate neighbourhood and a synthesized design. *)
 
 module Rng = Hsyn_util.Rng
 module Text = Hsyn_dfg.Text

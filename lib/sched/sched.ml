@@ -85,6 +85,8 @@ module Prepared = struct
   }
 
   let dfg t = t.p_dfg
+  let value_offsets t = t.value_off
+  let topo_order t = t.topo_order
   let value_index t ({ Dfg.node; out } : Dfg.port) = t.value_off.(node) + out
 
   let build (dfg : Dfg.t) =
@@ -179,7 +181,7 @@ module Prof_tbl = Shard_tbl.Make (Profile_key)
    makes each key build exactly once even under concurrent lookups. *)
 
 module Cache = struct
-  type t = { prepared : Prepared.t Prep_tbl.t; profiles : profile Prof_tbl.t }
+  type t = { prepared : Prepared.t Prep_tbl.t; profiles : (profile * schedule) Prof_tbl.t }
 
   type cache_stats = { prepared_tbl : Shard_tbl.stats; profile_tbl : Shard_tbl.stats }
 
@@ -212,7 +214,13 @@ let prepared_in (cache : Cache.t) dfg =
 let prepared_for ?cache dfg =
   match cache with Some c -> prepared_in c dfg | None -> Prepared.build dfg
 
-let rec profile_in cache ctx rm behavior =
+(* A profile is derived from one schedule of the module part; the
+   table keeps that schedule next to it, because the power model needs
+   exactly this schedule (same part, same relaxed constraints) for the
+   module's internal activity. *)
+let rec profile_in cache ctx rm behavior = fst (profiled_in cache ctx rm behavior)
+
+and profiled_in cache ctx rm behavior =
   let key =
     { pk_rm = rm; pk_behavior = behavior; pk_vdd = ctx.Design.vdd; pk_clk_ns = ctx.Design.clk_ns }
   in
@@ -251,7 +259,7 @@ and compute_module_profile cache ctx rm behavior =
         sch.avail.(Prepared.value_index prep src))
       dfg.Dfg.outputs
   in
-  { in_need; out_ready; busy = sch.makespan }
+  ({ in_need; out_ready; busy = sch.makespan }, sch)
 
 (* ------------------------------------------------------------------ *)
 (* Event kernel *)
@@ -629,6 +637,8 @@ and schedule_event cache (p : Prepared.t) ctx (cs : constraints) (d : Design.t) 
 (* Public entry points *)
 
 let module_profile ?cache ctx rm behavior = profile_in (or_transient cache) ctx rm behavior
+
+let module_schedule ?cache ctx rm behavior = snd (profiled_in (or_transient cache) ctx rm behavior)
 
 let schedule ?cache ?prepared ctx (cs : constraints) (d : Design.t) =
   Span.span Span.Schedule "schedule" (fun () ->

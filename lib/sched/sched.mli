@@ -59,6 +59,15 @@ module Prepared : sig
 
   val dfg : t -> Dfg.t
   (** The graph this context was built from. *)
+
+  val value_offsets : t -> int array
+  (** [value_offsets p] has [n_nodes + 1] entries: node [id]'s output
+      [o] has value id [(value_offsets p).(id) + o] (as
+      {!Design.value_index}), and the last entry is the number of
+      values. Shared; do not mutate. *)
+
+  val topo_order : t -> int array
+  (** {!Dfg.topo_order} of the graph. Shared; do not mutate. *)
 end
 
 val prepare : Dfg.t -> Prepared.t
@@ -102,6 +111,12 @@ val module_profile : ?cache:Cache.t -> Design.ctx -> Design.rtl_module -> string
     corresponding part with all inputs at 0 (recursively through
     nested modules). Memoized per (module, behavior, vdd, clock) in
     the given cache; domain-safe. *)
+
+val module_schedule : ?cache:Cache.t -> Design.ctx -> Design.rtl_module -> string -> schedule
+(** The schedule {!module_profile} is derived from: the part for the
+    behavior under [relaxed ~deadline:1_000_000], equal to what
+    {!schedule} returns for it. Memoized with the profile, so it costs
+    no scheduling call once the profile is known. *)
 
 val schedule :
   ?cache:Cache.t -> ?prepared:Prepared.t -> Design.ctx -> constraints -> Design.t -> schedule

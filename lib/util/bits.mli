@@ -15,7 +15,8 @@ val truncate : int -> int
 (** Wrap a value into [word_width] bits (two's complement). *)
 
 val popcount : int -> int
-(** Number of set bits of a non-negative int (up to 62 bits). *)
+(** Number of set bits of a non-negative int (up to 62 bits), in
+    constant time. *)
 
 val hamming : int -> int -> int
 (** [hamming a b] is the number of differing bits between the
@@ -35,9 +36,3 @@ val shift_amount : int -> int
 
 val to_signed : int -> int
 (** Interpret a [word_width]-bit word as a signed integer. *)
-
-val activity : int list -> float
-(** Average per-transition Hamming activity, normalized to
-    [word_width], of a sequence of words; [0.] for sequences shorter
-    than two. A stream of identical values has activity 0; a stream of
-    independent random words approaches 0.5. *)
