@@ -234,6 +234,9 @@ let synth_one ~session ~doc progress events_json trace_out metrics_out checkpoin
                   (match r.S.coverage.S.stop_reason with Some s -> s | None -> "?")
                   r.S.coverage.S.contexts_done r.S.coverage.S.contexts_planned;
               if show_stats || profile then begin
+                Format.printf "  area by part  : %a@." Hsyn_eval.Area.pp_breakdown
+                  (Cost.area_breakdown ~sched_cache:(Session.sched_cache session) r.S.ctx
+                     r.S.design ~makespan:r.S.eval.Cost.makespan);
                 Printf.printf "\nevaluation engine (jobs %d, cache %d):\n" policy.Engine.jobs
                   policy.Engine.cache_capacity;
                 Format.printf "  total        %a@." Engine.pp_counters (Session.totals session);
@@ -460,7 +463,9 @@ let stats_flag =
   Arg.(
     value & flag
     & info [ "stats" ]
-        ~doc:"Print evaluation-engine and scheduler-kernel statistics (cache, parallelism).")
+        ~doc:
+          "Print the final design's area by component, and evaluation-engine and \
+           scheduler-kernel statistics (cache, parallelism).")
 
 let profile_flag =
   Arg.(

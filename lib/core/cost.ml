@@ -29,11 +29,12 @@ type eval = {
    results bit-identical to direct evaluation. Stage 1 hands its
    schedule to stage 2, so a design is scheduled once per evaluation. *)
 
+let area_breakdown ?sched_cache ctx design ~makespan =
+  Area.total ?sched_cache ctx design ~n_states:(max 1 makespan)
+
 let schedule_stage ?sched_cache ?prepared ctx cs design =
   let sch = Sched.schedule ?cache:sched_cache ?prepared ctx cs design in
-  let area =
-    Area.grand_total (Area.total ?sched_cache ctx design ~n_states:(max 1 sch.Sched.makespan))
-  in
+  let area = Area.grand_total (area_breakdown ?sched_cache ctx design ~makespan:sch.Sched.makespan) in
   ( {
       area;
       power = Float.nan;

@@ -48,6 +48,17 @@ val schedule_stage :
     [?prepared] and [?sched_cache] are forwarded to {!Sched.schedule}
     (and the cache to the area model's module profiles). *)
 
+val area_breakdown :
+  ?sched_cache:Sched.Cache.t ->
+  Design.ctx ->
+  Design.t ->
+  makespan:int ->
+  Hsyn_eval.Area.breakdown
+(** The area of {!schedule_stage} by component: {!Hsyn_eval.Area.total}
+    with one controller state per cycle of a [makespan]-cycle schedule
+    (at least one). Its {!Hsyn_eval.Area.grand_total} is the [area] of
+    an eval whose [makespan] this is. *)
+
 val power_stage :
   ?sched_cache:Sched.Cache.t ->
   ?schedule:Sched.schedule ->

@@ -57,88 +57,133 @@ let port_feeds (d : Design.t) i =
           Array.to_list dfg.Dfg.nodes.(id).Dfg.ins |> List.mapi (fun port p -> (port, p)))
         nodes
 
-let reg_writers (d : Design.t) =
-  let dfg = d.Design.dfg in
-  let writers : (int, writer list) Hashtbl.t = Hashtbl.create 16 in
-  let add reg w =
-    let cur = match Hashtbl.find_opt writers reg with Some l -> l | None -> [] in
-    if not (List.mem w cur) then Hashtbl.replace writers reg (w :: cur)
-  in
-  Array.iteri
-    (fun v reg ->
-      if reg >= 0 then begin
-        let ({ Dfg.node; out } : Dfg.port) = Design.value_of_index dfg v in
-        match dfg.Dfg.nodes.(node).Dfg.kind with
-        | Dfg.Input -> add reg (From_input node)
-        | Dfg.Delay _ -> add reg (From_delay node)
-        | Dfg.Op _ | Dfg.Call _ -> add reg (From_inst (d.Design.node_inst.(node), out))
-        | Dfg.Const _ | Dfg.Output -> ()
-      end)
-    d.Design.value_reg;
-  writers
+(* ------------------------------------------------------------------ *)
+(* Steering counts. Each multiplexed input is a list of distinct
+   sources: the feeds of one (instance, port key), or the writers of
+   one register, unioned over every design sharing the resource set.
+   A list of n sources costs n - 1 mux inputs and n nets, since a net
+   is one distinct (source, sink) pair and no two lists share a sink. *)
 
-(* Steering cost over a list of designs sharing one resource set (a
-   single design for the top level; all parts for a merged module). *)
-let steering (ctx : Design.ctx) (designs : Design.t list) =
-  let lib = ctx.Design.lib in
-  let first = List.hd designs in
-  let n_insts = Array.length first.Design.insts in
-  let port_sources : (int * int, source list) Hashtbl.t = Hashtbl.create 32 in
-  let nets : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let add_port_source i key src =
-    let cur = match Hashtbl.find_opt port_sources (i, key) with Some l -> l | None -> [] in
-    if not (List.mem src cur) then Hashtbl.replace port_sources (i, key) (src :: cur)
+let same_source a b =
+  match (a, b) with
+  | Reg x, Reg y | Const_wire x, Const_wire y -> Int.equal x y
+  | Direct (i, o), Direct (j, p) -> Int.equal i j && Int.equal o p
+  | (Reg _ | Const_wire _ | Direct _), _ -> false
+
+let same_writer a b =
+  match (a, b) with
+  | From_inst (i, o), From_inst (j, p) -> Int.equal i j && Int.equal o p
+  | From_input x, From_input y | From_delay x, From_delay y -> Int.equal x y
+  | (From_inst _ | From_input _ | From_delay _), _ -> false
+
+(* One design's index, built once per call: the nodes bound to each
+   instance in ascending id order, and each node's first value id. *)
+type index = { design : Design.t; on_inst : int list array; off : int array }
+
+let index n_insts (d : Design.t) =
+  let nodes = d.Design.dfg.Dfg.nodes in
+  let on_inst = Array.make n_insts [] in
+  for id = Array.length d.Design.node_inst - 1 downto 0 do
+    let i = d.Design.node_inst.(id) in
+    if i >= 0 && i < n_insts then on_inst.(i) <- id :: on_inst.(i)
+  done;
+  let off = Array.make (Array.length nodes + 1) 0 in
+  Array.iteri (fun id (node : Dfg.node) -> off.(id + 1) <- off.(id) + node.Dfg.n_out) nodes;
+  { design = d; on_inst; off }
+
+(* [source_of_value] over the index *)
+let source x (p : Dfg.port) =
+  let d = x.design in
+  let reg = d.Design.value_reg.(x.off.(p.Dfg.node) + p.Dfg.out) in
+  if reg >= 0 then Reg reg
+  else
+    match d.Design.dfg.Dfg.nodes.(p.Dfg.node).Dfg.kind with
+    | Dfg.Const c -> Const_wire c
+    | _ -> Direct (d.Design.node_inst.(p.Dfg.node), p.Dfg.out)
+
+(* Feeds of instance [i] in one design, keyed as in [port_feeds]. A
+   chain member's input is external unless its source is bound to the
+   chain itself. *)
+let iter_feeds x i f =
+  let d = x.design in
+  let nodes = d.Design.dfg.Dfg.nodes in
+  match d.Design.insts.(i) with
+  | Design.Simple fu when Fu.is_chain fu ->
+      let key = ref 0 in
+      List.iter
+        (fun id ->
+          Array.iter
+            (fun (p : Dfg.port) ->
+              if d.Design.node_inst.(p.Dfg.node) <> i then begin
+                f !key (source x p);
+                incr key
+              end)
+            nodes.(id).Dfg.ins)
+        x.on_inst.(i)
+  | Design.Simple _ | Design.Module _ ->
+      List.iter
+        (fun id -> Array.iteri (fun k p -> f k (source x p)) nodes.(id).Dfg.ins)
+        x.on_inst.(i)
+
+(* (used registers, mux inputs, nets) over designs sharing one
+   resource set of [n_insts] instances and [n_regs] registers *)
+let counts n_insts n_regs (xs : index list) =
+  let mux_inputs = ref 0 and nets = ref 0 in
+  let tally = function
+    | [] -> ()
+    | l ->
+        let n = List.length l in
+        nets := !nets + n;
+        mux_inputs := !mux_inputs + n - 1
   in
-  let net_name src (i, key) =
-    let s =
-      match src with
-      | Reg r -> Printf.sprintf "r%d" r
-      | Const_wire c -> Printf.sprintf "c%d" c
-      | Direct (j, o) -> Printf.sprintf "d%d.%d" j o
-    in
-    Printf.sprintf "%s->i%d.%d" s i key
+  (* instance input ports, one instance at a time; [by_key] is reset
+     after each *)
+  let by_key = ref (Array.make 4 []) in
+  let add key src =
+    if key >= Array.length !by_key then begin
+      let grown = Array.make (2 * key) [] in
+      Array.blit !by_key 0 grown 0 (Array.length !by_key);
+      by_key := grown
+    end;
+    let cur = !by_key.(key) in
+    if not (List.exists (same_source src) cur) then !by_key.(key) <- src :: cur
+  in
+  for i = 0 to n_insts - 1 do
+    List.iter (fun x -> iter_feeds x i add) xs;
+    Array.iteri
+      (fun key l ->
+        tally l;
+        !by_key.(key) <- [])
+      !by_key
+  done;
+  (* register inputs *)
+  let used = Array.make (max 1 n_regs) false in
+  let writers = Array.make (max 1 n_regs) [] in
+  let add_writer reg w =
+    let cur = writers.(reg) in
+    if not (List.exists (same_writer w) cur) then writers.(reg) <- w :: cur
   in
   List.iter
-    (fun d ->
-      for i = 0 to n_insts - 1 do
-        List.iter
-          (fun (key, p) ->
-            let src = source_of_value d p in
-            add_port_source i key src;
-            Hashtbl.replace nets (net_name src (i, key)) ())
-          (port_feeds d i)
-      done)
-    designs;
-  let mux_inputs =
-    Hashtbl.fold (fun _ sources acc -> acc + max 0 (List.length sources - 1)) port_sources 0
-  in
-  (* register input steering, unioned across designs *)
-  let reg_sources : (int, writer list) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun d ->
-      Hashtbl.iter
-        (fun reg ws ->
-          let cur = match Hashtbl.find_opt reg_sources reg with Some l -> l | None -> [] in
-          let merged = List.fold_left (fun acc w -> if List.mem w acc then acc else w :: acc) cur ws in
-          Hashtbl.replace reg_sources reg merged;
-          List.iter
-            (fun w ->
-              let s =
-                match w with
-                | From_inst (i, o) -> Printf.sprintf "i%d.%d" i o
-                | From_input k -> Printf.sprintf "in%d" k
-                | From_delay k -> Printf.sprintf "z%d" k
-              in
-              Hashtbl.replace nets (Printf.sprintf "%s->r%d" s reg) ())
-            ws)
-        (reg_writers d))
-    designs;
-  let reg_mux_inputs =
-    Hashtbl.fold (fun _ ws acc -> acc + max 0 (List.length ws - 1)) reg_sources 0
-  in
-  let muxes = Float.of_int (mux_inputs + reg_mux_inputs) *. lib.Hsyn_modlib.Library.mux_area_per_input in
-  let wires = Float.of_int (Hashtbl.length nets) *. lib.Hsyn_modlib.Library.wire_area in
-  (muxes, wires)
+    (fun x ->
+      let d = x.design in
+      Array.iteri
+        (fun id (node : Dfg.node) ->
+          for out = 0 to node.Dfg.n_out - 1 do
+            let reg = d.Design.value_reg.(x.off.(id) + out) in
+            if reg >= 0 then begin
+              used.(reg) <- true;
+              match node.Dfg.kind with
+              | Dfg.Input -> add_writer reg (From_input id)
+              | Dfg.Delay _ -> add_writer reg (From_delay id)
+              | Dfg.Op _ | Dfg.Call _ -> add_writer reg (From_inst (d.Design.node_inst.(id), out))
+              | Dfg.Const _ | Dfg.Output -> ()
+            end
+          done)
+        d.Design.dfg.Dfg.nodes)
+    xs;
+  Array.iter tally writers;
+  let used_regs = Array.fold_left (fun acc u -> if u then acc + 1 else acc) 0 used in
+  (used_regs, !mux_inputs, !nets)
 
 (* The scheduler cache threads through the recursion because module
    areas need module profiles (one controller state per busy cycle),
@@ -149,39 +194,43 @@ let rec inst_area cache ctx = function
   | Design.Simple fu -> fu.Fu.area
   | Design.Module rm -> module_area_rec cache ctx rm
 
-and datapath_of_parts cache ctx (designs : Design.t list) =
+and datapath_of_parts cache ctx (first : Design.t) (designs : Design.t list) =
   let lib = ctx.Design.lib in
-  let first = List.hd designs in
   let units = Array.fold_left (fun acc k -> acc +. inst_area cache ctx k) 0. first.Design.insts in
-  let used_regs =
-    let used = Array.make (max 1 first.Design.n_regs) false in
-    List.iter
-      (fun (d : Design.t) -> Array.iter (fun r -> if r >= 0 then used.(r) <- true) d.Design.value_reg)
-      designs;
-    Array.fold_left (fun acc u -> if u then acc + 1 else acc) 0 used
+  let n_insts = Array.length first.Design.insts in
+  let used_regs, mux_inputs, nets =
+    counts n_insts first.Design.n_regs (List.map (index n_insts) designs)
   in
-  let registers = Float.of_int used_regs *. lib.Hsyn_modlib.Library.reg_area in
-  let muxes, wires = steering ctx designs in
-  { units; registers; muxes; wires; controller = 0. }
+  {
+    units;
+    registers = Float.of_int used_regs *. lib.Hsyn_modlib.Library.reg_area;
+    muxes = Float.of_int mux_inputs *. lib.Hsyn_modlib.Library.mux_area_per_input;
+    wires = Float.of_int nets *. lib.Hsyn_modlib.Library.wire_area;
+    controller = 0.;
+  }
 
 and module_area_rec cache ctx (rm : Design.rtl_module) =
-  let parts = List.map snd rm.Design.parts in
-  let b = datapath_of_parts cache ctx parts in
-  let states =
-    List.fold_left
-      (fun acc (behavior, _) ->
-        let p = Hsyn_sched.Sched.module_profile ~cache ctx rm behavior in
-        acc + p.Hsyn_sched.Sched.busy)
-      0 rm.Design.parts
-  in
-  let controller = Float.of_int states *. ctx.Design.lib.Hsyn_modlib.Library.ctrl_area_per_state in
-  grand_total { b with controller }
+  match rm.Design.parts with
+  | [] -> invalid_arg (Printf.sprintf "Area: module %s has no parts" rm.Design.rm_name)
+  | (_, first) :: _ as parts ->
+      let b = datapath_of_parts cache ctx first (List.map snd parts) in
+      let states =
+        List.fold_left
+          (fun acc (behavior, _) ->
+            let p = Hsyn_sched.Sched.module_profile ~cache ctx rm behavior in
+            acc + p.Hsyn_sched.Sched.busy)
+          0 parts
+      in
+      let controller =
+        Float.of_int states *. ctx.Design.lib.Hsyn_modlib.Library.ctrl_area_per_state
+      in
+      grand_total { b with controller }
 
 let or_transient = function
   | Some c -> c
   | None -> Hsyn_sched.Sched.Cache.create ~shards:1 ~prepared_capacity:64 ~profile_capacity:256 ()
 
-let datapath ?sched_cache ctx d = datapath_of_parts (or_transient sched_cache) ctx [ d ]
+let datapath ?sched_cache ctx d = datapath_of_parts (or_transient sched_cache) ctx d [ d ]
 
 let module_area ?sched_cache ctx rm = module_area_rec (or_transient sched_cache) ctx rm
 

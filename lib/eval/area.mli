@@ -7,7 +7,19 @@
     net) + controller (per FSM state). Nested RTL modules contribute
     their shared datapath once, with steering counted over the union
     of all behaviors mapped to them — which is precisely what makes
-    RTL embedding (merging two modules) cheaper than keeping both. *)
+    RTL embedding (merging two modules) cheaper than keeping both.
+
+    The steering terms are integer counts. Each multiplexed input is a
+    list of distinct sources: those of one (instance, port key), or
+    the writers of one register, unioned over every design sharing the
+    resource set. With [n] the length of such a list,
+    - mux inputs = Σ (n − 1),
+    - nets = Σ n,
+    because a net is one distinct (source, sink) pair and no two lists
+    share a sink. [muxes], [wires] and [registers] are these counts
+    times library constants and [units] folds the instances in index
+    order, so every breakdown field equals, bit for bit, that of the
+    string-keyed reference model ([Hsyn_fuzz.Ref_area]). *)
 
 module Design = Hsyn_rtl.Design
 
@@ -38,7 +50,9 @@ val datapath : ?sched_cache:Hsyn_sched.Sched.Cache.t -> Design.ctx -> Design.t -
     {!total} once the schedule length is known). Recurses into module
     instances. Module controllers need module profiles, so a scheduler
     cache can be supplied for memoization across calls; without one a
-    transient cache scoped to this call is used. *)
+    transient cache scoped to this call is used.
+    @raise Invalid_argument ["Area: module <name> has no parts"] when
+    a module instance, at any depth, has an empty [parts] list. *)
 
 val total :
   ?sched_cache:Hsyn_sched.Sched.Cache.t -> Design.ctx -> Design.t -> n_states:int -> breakdown
@@ -48,6 +62,7 @@ val total :
 val module_area : ?sched_cache:Hsyn_sched.Sched.Cache.t -> Design.ctx -> Design.rtl_module -> float
 (** Area of one complex RTL module: shared units and registers,
     steering unioned over all behaviors, plus its internal controller
-    (one state per cycle of each behavior's schedule). *)
+    (one state per cycle of each behavior's schedule).
+    @raise Invalid_argument as {!datapath} does, also for [rm] itself. *)
 
 val pp_breakdown : Format.formatter -> breakdown -> unit

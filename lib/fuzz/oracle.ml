@@ -425,8 +425,9 @@ let check_part rng ctx what (originals : (string * Design.t) list) (m : Design.r
   in
   go originals
 
-let check_embed rng (prog : Text.program) =
-  let ctx = ctx5 in
+(* Three named designs to merge: two behaviors and the top graph when
+   the program has them, padded with the top and its flattening. *)
+let embed_inputs ctx (prog : Text.program) =
   let registry = prog.Text.registry in
   let top = Gen.top_graph prog in
   let build g = Initial.build ctx ~complexes:no_complexes registry g in
@@ -436,8 +437,11 @@ let check_embed rng (prog : Text.program) =
     | [ b0 ] -> [ top; Registry.default_variant registry b0; Flatten.flatten registry top ]
     | [] -> [ top; Flatten.flatten registry top; top ]
   in
-  let named = List.mapi (fun i g -> (Printf.sprintf "p%d" i, build g)) graphs in
-  match named with
+  List.mapi (fun i g -> (Printf.sprintf "p%d" i, build g)) graphs
+
+let check_embed rng (prog : Text.program) =
+  let ctx = ctx5 in
+  match embed_inputs ctx prog with
   | [ (nl, dl); (nr, dr); (nt, dt) ] -> (
       let ml = module_of ~rm_name:"ML" ~part:nl dl in
       let mr = module_of ~rm_name:"MR" ~part:nr dr in
@@ -580,6 +584,87 @@ let check_power_diff rng (prog : Text.program) =
         d
 
 (* ------------------------------------------------------------------ *)
+(* area-diff: the count-based area kernel is bit-identical to the     *)
+(* string-keyed reference model.                                      *)
+
+module Area = Hsyn_eval.Area
+
+let same_breakdown (a : Area.breakdown) (b : Area.breakdown) =
+  same_float a.Area.units b.Area.units
+  && same_float a.Area.registers b.Area.registers
+  && same_float a.Area.muxes b.Area.muxes
+  && same_float a.Area.wires b.Area.wires
+  && same_float a.Area.controller b.Area.controller
+
+let diff_module what ctx (rm : Design.rtl_module) =
+  let got = Area.module_area ctx rm and want = Ref_area.module_area ctx rm in
+  if same_float got want then Ok ()
+  else fail "%s: module %s area %h <> reference %h" what rm.Design.rm_name got want
+
+(* Every module instance of a design, nested ones included. *)
+let rec diff_modules what ctx (d : Design.t) =
+  Array.fold_left
+    (fun acc kind ->
+      let* () = acc in
+      match kind with
+      | Design.Simple _ -> Ok ()
+      | Design.Module rm ->
+          let* () = diff_module what ctx rm in
+          List.fold_left
+            (fun acc (_, part) ->
+              let* () = acc in
+              diff_modules what ctx part)
+            (Ok ()) rm.Design.parts)
+    (Ok ()) d.Design.insts
+
+let diff_area what ctx ~n_states (d : Design.t) =
+  let want = Ref_area.total ctx d ~n_states and got = Area.total ctx d ~n_states in
+  if not (same_breakdown got want) then
+    fail "%s: breakdown %s <> reference %s" what
+      (Format.asprintf "%a" Area.pp_breakdown got)
+      (Format.asprintf "%a" Area.pp_breakdown want)
+  else Ok ()
+
+let check_area_diff rng (prog : Text.program) =
+  let ctx = ctx5 in
+  let n_states = 1 + Rng.int rng 40 in
+  let rec neighbourhood i = function
+    | [] -> Ok ()
+    | c :: rest ->
+        let* () = diff_area (Printf.sprintf "candidate %d" i) ctx ~n_states c in
+        neighbourhood (i + 1) rest
+  in
+  let d0 = initial_design ctx prog in
+  (* [candidates] starts with the initial design itself; the swaps
+     leave its modules alone *)
+  let* () = neighbourhood 0 (candidates ctx d0) in
+  let* () = diff_modules "initial design" ctx d0 in
+  (* modules of one and of several parts, the latter merged by Embed *)
+  let* () =
+    match embed_inputs ctx prog with
+    | [ (nl, dl); (nr, dr); (nt, dt) ] -> (
+        let ml = module_of ~rm_name:"ML" ~part:nl dl in
+        let mr = module_of ~rm_name:"MR" ~part:nr dr in
+        let mt = module_of ~rm_name:"MT" ~part:nt dt in
+        let* () = diff_module "single part" ctx ml in
+        match Embed.merge_modules ctx ~name:"M1" ml mr with
+        | None -> Ok ()
+        | Some (m1, _) -> (
+            let* () = diff_module "merge1" ctx m1 in
+            match Embed.merge_modules ctx ~name:"M2" m1 mt with
+            | None -> Ok ()
+            | Some (m2, _) -> diff_module "merge2" ctx m2))
+    | _ -> assert false
+  in
+  let* req = small_request ~seed:(Rng.int rng 1_000_000) prog in
+  match S.synthesize req with
+  | Error _ -> Ok ()
+  | Ok r ->
+      let d = r.S.design in
+      let* () = diff_area "final design" r.S.ctx ~n_states:(max 1 r.S.eval.Cost.makespan) d in
+      diff_modules "final design" r.S.ctx d
+
+(* ------------------------------------------------------------------ *)
 
 let all =
   [
@@ -624,6 +709,11 @@ let all =
       name = "power-diff";
       doc = "compiled Sim and array power kernel ≡ list-based reference (Ref_power), bit for bit";
       check = check_power_diff;
+    };
+    {
+      name = "area-diff";
+      doc = "count-based area kernel ≡ string-keyed reference (Ref_area), bit for bit";
+      check = check_area_diff;
     };
   ]
 

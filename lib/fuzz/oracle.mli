@@ -34,7 +34,12 @@
       {!Hsyn_eval.Power.energy_per_sample} (scheduling for itself, and
       through {!Hsyn_core.Cost.evaluate}'s schedule hand-off) are
       bit-identical to the reference {!Ref_power}, on the initial
-      design, its candidate neighbourhood and a synthesized design. *)
+      design, its candidate neighbourhood and a synthesized design.
+    - [area-diff] — {!Hsyn_eval.Area.total} breakdowns (all five
+      fields) and {!Hsyn_eval.Area.module_area} are bit-identical to
+      the reference {!Ref_area}, on the initial design, its candidate
+      neighbourhood, every module instance, modules merged by
+      [Embed.merge_modules] and a synthesized design. *)
 
 module Rng = Hsyn_util.Rng
 module Text = Hsyn_dfg.Text

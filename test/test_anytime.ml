@@ -208,8 +208,13 @@ let test_cancel_from_sink () =
 
 let test_deadline_terminates () =
   let b = Suite.iir () in
+  (* the deadline must fall well inside the unbudgeted run, whatever
+     this machine's speed: a tenth of its measured time *)
+  let t0 = Unix.gettimeofday () in
+  ignore (S.synthesize (request b));
+  let full = Unix.gettimeofday () -. t0 in
   let budget =
-    match Budget.make ~deadline_s:0.2 () with Ok x -> x | Error e -> Alcotest.fail e
+    match Budget.make ~deadline_s:(full /. 10.) () with Ok x -> x | Error e -> Alcotest.fail e
   in
   let t0 = Unix.gettimeofday () in
   (match S.synthesize (request ~budget b) with
