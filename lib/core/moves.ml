@@ -66,9 +66,11 @@ let cs env = Engine.constraints env.engine
 (* Candidates are produced lazily — [(kind, description), design]
    sequences — so the per-family truncation in [best_of] also bounds
    generation work (nested resynthesis, RTL embedding), not just
-   evaluation. All evaluation goes through the engine: memoized,
-   two-stage, batched over the worker pool. *)
-type candidate = (kind * string) * Design.t
+   evaluation. The description stays unrendered until a candidate wins
+   its batch: only committed moves' traces ever read it. All
+   evaluation goes through the engine: memoized, two-stage, batched
+   over the worker pool. *)
+type candidate = (kind * string Lazy.t) * Design.t
 
 let best_of env cur_value (candidates : candidate Seq.t) =
   match
@@ -78,7 +80,8 @@ let best_of env cur_value (candidates : candidate Seq.t) =
   with
   | None -> None
   | Some ((kind, description), candidate, eval, value) ->
-      Some { kind; description; candidate; eval; gain = cur_value -. value }
+      Some
+        { kind; description = Lazy.force description; candidate; eval; gain = cur_value -. value }
 
 (* ------------------------------------------------------------------ *)
 (* Helpers on designs *)
@@ -90,19 +93,19 @@ let single_behavior (rm : Design.rtl_module) =
    replaces the former whole-graph rescan per query. *)
 let consumers idx (dfg : Dfg.t) (p : Dfg.port) = idx.(Design.value_index dfg p)
 
+(* [idx] below is always [Design.nodes_by_inst d], built once per
+   generator run and shared by all of its candidates. *)
+let used idx i = match idx.(i) with [] -> false | _ :: _ -> true
+
 (* Rebind all nodes from instance [j] onto [i] with merged unit type,
    then drop [j]. *)
-let merge_simple d i j merged_kind =
-  let d = Design.with_inst d i merged_kind in
-  let d =
-    List.fold_left (fun d node -> Design.with_binding d node i) d (Design.nodes_on d j)
-  in
-  Design.compact d
+let merge_simple idx d i j merged_kind =
+  Design.compact (Design.with_bindings (Design.with_inst d i merged_kind) idx.(j) i)
 
 (* ------------------------------------------------------------------ *)
 (* Move family A: module selection *)
 
-let select_candidates env (d : Design.t) : candidate Seq.t =
+let select_candidates env idx (d : Design.t) : candidate Seq.t =
   let lib = (ctx env).Design.lib in
   (* rank unit swaps by how much objective they can plausibly win, so
      truncation in [best_of] keeps the promising ones: big capacitance
@@ -115,15 +118,15 @@ let select_candidates env (d : Design.t) : candidate Seq.t =
   let simple =
     List.concat
       (List.init (Array.length d.Design.insts) (fun i ->
-           if not (Design.inst_used d i) then []
+           if not (used idx i) then []
            else
              match d.Design.insts.(i) with
              | Design.Simple fu ->
-                 let uses = List.length (Design.nodes_on d i) in
+                 let uses = List.length idx.(i) in
                  List.map
                    (fun alt ->
                      ( swap_score uses fu alt,
-                       ( (Select, Printf.sprintf "I%d %s -> %s" i fu.Fu.name alt.Fu.name),
+                       ( (Select, lazy (Printf.sprintf "I%d %s -> %s" i fu.Fu.name alt.Fu.name)),
                          Design.with_inst d i (Design.Simple alt) ) ))
                    (Library.alternatives lib fu)
              | Design.Module _ -> []))
@@ -133,7 +136,7 @@ let select_candidates env (d : Design.t) : candidate Seq.t =
   let complex =
     List.concat
       (List.init (Array.length d.Design.insts) (fun i ->
-           if not (Design.inst_used d i) then []
+           if not (used idx i) then []
            else
              match d.Design.insts.(i) with
              | Design.Module rm -> (
@@ -145,8 +148,9 @@ let select_candidates env (d : Design.t) : candidate Seq.t =
                             rm'.Design.rm_name <> rm.Design.rm_name)
                      |> List.map (fun rm' ->
                             ( ( Select,
-                                Printf.sprintf "I%d %s -> %s" i rm.Design.rm_name
-                                  rm'.Design.rm_name ),
+                                lazy
+                                  (Printf.sprintf "I%d %s -> %s" i rm.Design.rm_name
+                                     rm'.Design.rm_name) ),
                               Design.with_inst d i (Design.Module rm') )))
              | Design.Simple _ -> []))
   in
@@ -155,7 +159,7 @@ let select_candidates env (d : Design.t) : candidate Seq.t =
 (* ------------------------------------------------------------------ *)
 (* Move family B: resynthesis under environment constraints *)
 
-let resynth_candidates env (d : Design.t) : candidate Seq.t =
+let resynth_candidates env idx (d : Design.t) : candidate Seq.t =
   match env.resynth with
   | None -> Seq.empty
   | Some resynth ->
@@ -173,7 +177,7 @@ let resynth_candidates env (d : Design.t) : candidate Seq.t =
              match d.Design.insts.(i) with
              | Design.Simple _ -> Seq.empty
              | Design.Module rm -> (
-                 match (single_behavior rm, Design.nodes_on d i) with
+                 match (single_behavior rm, idx.(i)) with
                  | Some behavior, [ call ] ->
                      (* the nested synthesis is the expensive part:
                         defer it until this element is demanded *)
@@ -220,8 +224,9 @@ let resynth_candidates env (d : Design.t) : candidate Seq.t =
                          in
                          Seq.Cons
                            ( ( ( Resynthesize,
-                                 Printf.sprintf "I%d resynthesize %s under slack" i
-                                   rm.Design.rm_name ),
+                                 lazy
+                                   (Printf.sprintf "I%d resynthesize %s under slack" i
+                                      rm.Design.rm_name) ),
                                Design.with_inst d i (Design.Module rm') ),
                              Seq.empty )
                  | _ -> Seq.empty))
@@ -229,30 +234,33 @@ let resynth_candidates env (d : Design.t) : candidate Seq.t =
 (* ------------------------------------------------------------------ *)
 (* Move family C: merging / resource sharing *)
 
-let simple_pairs (d : Design.t) =
+let simple_pairs idx (d : Design.t) =
   let n = Array.length d.Design.insts in
   let pairs = ref [] in
   for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Design.inst_used d i && Design.inst_used d j then
-        match d.Design.insts.(i), d.Design.insts.(j) with
-        | Design.Simple fi, Design.Simple fj when not (Fu.is_chain fi || Fu.is_chain fj) ->
-            if Fu.compatible fi fj then pairs := (i, j, Design.Simple fi) :: !pairs
-            else if Fu.compatible fj fi then pairs := (i, j, Design.Simple fj) :: !pairs
-        | _ -> ()
-    done
+    if used idx i then
+      for j = i + 1 to n - 1 do
+        if used idx j then
+          match d.Design.insts.(i), d.Design.insts.(j) with
+          | Design.Simple fi, Design.Simple fj when not (Fu.is_chain fi || Fu.is_chain fj) ->
+              if Fu.compatible fi fj then pairs := (i, j, Design.Simple fi) :: !pairs
+              else if Fu.compatible fj fi then pairs := (i, j, Design.Simple fj) :: !pairs
+          | _ -> ()
+      done
   done;
-  (* largest area saving first *)
+  (* largest area saving first; a stable sort, each key computed once *)
   let saved (i, j, merged) =
     let area = function Design.Simple fu -> fu.Fu.area | Design.Module _ -> 0. in
     area d.Design.insts.(i) +. area d.Design.insts.(j) -. area merged
   in
-  List.sort (fun a b -> compare (saved b) (saved a)) !pairs
+  List.map (fun p -> (saved p, p)) !pairs
+  |> List.stable_sort (fun (a, _) (b, _) -> compare b a)
+  |> List.map snd
 
-let merge_simple_candidates (d : Design.t) : candidate Seq.t =
-  List.to_seq (simple_pairs d)
+let merge_simple_candidates idx (d : Design.t) : candidate Seq.t =
+  List.to_seq (simple_pairs idx d)
   |> Seq.map (fun (i, j, merged) ->
-         ((Merge, Printf.sprintf "share I%d+I%d" i j), merge_simple d i j merged))
+         ((Merge, lazy (Printf.sprintf "share I%d+I%d" i j)), merge_simple idx d i j merged))
 
 (* Chain fusion: nodes a -> b (both additions on separate plain units)
    fused onto a chained adder; extended to three for chained_add3. *)
@@ -272,7 +280,7 @@ let chain_candidates env (d : Design.t) : candidate Seq.t =
     (* allocate the chain instance, rebind members, unregister
        chain-internal values consumed nowhere else *)
     let d', inst = Design.add_inst d (Design.Simple chain_fu) in
-    let d' = List.fold_left (fun acc id -> Design.with_binding acc id inst) d' nodes in
+    let d' = Design.with_bindings d' nodes inst in
     let d' =
       List.fold_left
         (fun acc id ->
@@ -304,8 +312,9 @@ let chain_candidates env (d : Design.t) : candidate Seq.t =
         List.to_seq !pairs
         |> Seq.map (fun (a, b) ->
                ( ( Merge,
-                   Printf.sprintf "chain %s+%s on %s" dfg.Dfg.nodes.(a).Dfg.label
-                     dfg.Dfg.nodes.(b).Dfg.label chain.Fu.name ),
+                   lazy
+                     (Printf.sprintf "chain %s+%s on %s" dfg.Dfg.nodes.(a).Dfg.label
+                        dfg.Dfg.nodes.(b).Dfg.label chain.Fu.name) ),
                  fuse [ a; b ] chain ))
   in
   let three =
@@ -319,16 +328,17 @@ let chain_candidates env (d : Design.t) : candidate Seq.t =
                       if b' = b && c <> a && is_plain_add c then
                         Some
                           ( ( Merge,
-                              Printf.sprintf "chain3 %s+%s+%s" dfg.Dfg.nodes.(a).Dfg.label
-                                dfg.Dfg.nodes.(b).Dfg.label dfg.Dfg.nodes.(c).Dfg.label ),
+                              lazy
+                                (Printf.sprintf "chain3 %s+%s+%s" dfg.Dfg.nodes.(a).Dfg.label
+                                   dfg.Dfg.nodes.(b).Dfg.label dfg.Dfg.nodes.(c).Dfg.label) ),
                             fuse [ a; b; c ] chain )
                       else None))
   in
   Seq.append two three
 
 (* Behaviors actually invoked on an instance. *)
-let behaviors_used (d : Design.t) i =
-  Design.nodes_on d i
+let behaviors_used idx (d : Design.t) i =
+  idx.(i)
   |> List.filter_map (fun id ->
          match d.Design.dfg.Dfg.nodes.(id).Dfg.kind with Dfg.Call b -> Some b | _ -> None)
   |> List.sort_uniq compare
@@ -338,46 +348,46 @@ let behaviors_used (d : Design.t) i =
    sharing counterpart of simple-unit merging, and the main source of
    area recovery on hierarchical inputs (seven butterflies on one
    butterfly module). No embedding needed. *)
-let module_share_candidates (d : Design.t) : candidate Seq.t =
+let module_share_candidates idx (d : Design.t) : candidate Seq.t =
   let n = Array.length d.Design.insts in
-  let cands = ref [] in
+  let needed =
+    Array.init n (fun j ->
+        match d.Design.insts.(j) with
+        | Design.Module _ -> behaviors_used idx d j
+        | Design.Simple _ -> [])
+  in
+  let pairs = ref [] in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
-      if i <> j && Design.inst_used d i && Design.inst_used d j then
+      if i <> j && used idx i && used idx j then
         match d.Design.insts.(i), d.Design.insts.(j) with
         | Design.Module rmi, Design.Module rmj ->
-            let needed = behaviors_used d j in
             if
-              needed <> []
-              && List.for_all (fun b -> List.mem_assoc b rmi.Design.parts) needed
+              needed.(j) <> []
+              && List.for_all (fun b -> List.mem_assoc b rmi.Design.parts) needed.(j)
               && (i < j || rmi.Design.rm_name <> rmj.Design.rm_name)
-            then begin
-              let d' =
-                List.fold_left
-                  (fun acc node -> Design.with_binding acc node i)
-                  d (Design.nodes_on d j)
-              in
-              cands :=
-                ( ( Merge,
-                    Printf.sprintf "multiplex I%d(%s) onto I%d(%s)" j rmj.Design.rm_name i
-                      rmi.Design.rm_name ),
-                  Design.compact d' )
-                :: !cands
-            end
+            then pairs := (i, j, rmi, rmj) :: !pairs
         | _ -> ()
     done
   done;
-  List.to_seq !cands
+  (* the rebinding itself is deferred, like embedding below *)
+  List.to_seq !pairs
+  |> Seq.map (fun (i, j, (rmi : Design.rtl_module), (rmj : Design.rtl_module)) ->
+         ( ( Merge,
+             lazy
+               (Printf.sprintf "multiplex I%d(%s) onto I%d(%s)" j rmj.Design.rm_name i
+                  rmi.Design.rm_name) ),
+           Design.compact (Design.with_bindings d idx.(j) i) ))
 
 (* Complex-module merging via RTL embedding. The embedding itself is
    deferred per pair, so candidates beyond the truncation limit cost
    nothing. *)
-let module_merge_candidates env (d : Design.t) : candidate Seq.t =
+let module_merge_candidates env idx (d : Design.t) : candidate Seq.t =
   let n = Array.length d.Design.insts in
   let pairs = ref [] in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      if Design.inst_used d i && Design.inst_used d j then
+      if used idx i && used idx j then
         match d.Design.insts.(i), d.Design.insts.(j) with
         | Design.Module rmi, Design.Module rmj -> pairs := (i, j, rmi, rmj) :: !pairs
         | _ -> ()
@@ -392,16 +402,13 @@ let module_merge_candidates env (d : Design.t) : candidate Seq.t =
          with
          | None -> None
          | Some (merged, _) ->
-             let d' = Design.with_inst d i (Design.Module merged) in
-             let d' =
-               List.fold_left
-                 (fun acc node -> Design.with_binding acc node i)
-                 d' (Design.nodes_on d' j)
-             in
+             (* [with_inst] leaves [node_inst], and so [idx], unchanged *)
+             let d' = Design.with_bindings (Design.with_inst d i (Design.Module merged)) idx.(j) i in
              Some
                ( ( Merge,
-                   Printf.sprintf "embed I%d(%s)+I%d(%s)" i rmi.Design.rm_name j
-                     rmj.Design.rm_name ),
+                   lazy
+                     (Printf.sprintf "embed I%d(%s)+I%d(%s)" i rmi.Design.rm_name j
+                        rmj.Design.rm_name) ),
                  Design.compact d' ))
 
 (* Left-edge register re-allocation: one global candidate. *)
@@ -473,56 +480,44 @@ let left_edge_candidate env (d : Design.t) : candidate Seq.t =
     List.iter assign sorted;
     let n_regs = !next_reg + Hsyn_util.Vec.length reg_free in
     let d' = { d with Design.value_reg; n_regs } in
-    Seq.Cons (((Merge, "left-edge register re-allocation"), d'), Seq.empty)
+    Seq.Cons (((Merge, Lazy.from_val "left-edge register re-allocation"), d'), Seq.empty)
   end
 
 let merge_candidates env d : candidate Seq.t =
+  let idx = Design.nodes_by_inst d in
   (* the left-edge register move first: single cheap candidate that
      must never fall to truncation *)
   Seq.append (left_edge_candidate env d)
-    (Seq.append (merge_simple_candidates d)
+    (Seq.append (merge_simple_candidates idx d)
        (Seq.append (chain_candidates env d)
-          (Seq.append (module_share_candidates d)
-             (if env.families.embed then module_merge_candidates env d else Seq.empty))))
+          (Seq.append (module_share_candidates idx d)
+             (if env.families.embed then module_merge_candidates env idx d else Seq.empty))))
 
 (* ------------------------------------------------------------------ *)
 (* Move family D: splitting *)
 
 let split_candidates env (d : Design.t) : candidate Seq.t =
+  let idx = Design.nodes_by_inst d in
   let sch = lazy (Sched.schedule ~cache:(sched_cache env) (ctx env) (cs env) d) in
+  (* move every other node of [i], in start order, onto a fresh copy
+     of its resource *)
+  let split i kind name : candidate Seq.t =
+   fun () ->
+    let sch = Lazy.force sch in
+    let ordered = List.sort (fun a b -> compare sch.Sched.start.(a) sch.Sched.start.(b)) idx.(i) in
+    let odd = List.filteri (fun k _ -> k mod 2 = 1) ordered in
+    let d', inst = Design.add_inst d kind in
+    Seq.Cons
+      ( ((Split, lazy (Printf.sprintf "split I%d (%s)" i name)), Design.with_bindings d' odd inst),
+        Seq.empty )
+  in
   Seq.init (Array.length d.Design.insts) Fun.id
   |> Seq.concat_map (fun i ->
-         let nodes = Design.nodes_on d i in
-         if List.length nodes < 2 then Seq.empty
-         else
-           match d.Design.insts.(i) with
-           | Design.Simple fu when not (Fu.is_chain fu) ->
-               fun () ->
-                 let sch = Lazy.force sch in
-                 let ordered =
-                   List.sort (fun a b -> compare sch.Sched.start.(a) sch.Sched.start.(b)) nodes
-                 in
-                 let odd = List.filteri (fun k _ -> k mod 2 = 1) ordered in
-                 let d', inst = Design.add_inst d (Design.Simple fu) in
-                 let d' =
-                   List.fold_left (fun acc n -> Design.with_binding acc n inst) d' odd
-                 in
-                 Seq.Cons
-                   (((Split, Printf.sprintf "split I%d (%s)" i fu.Fu.name), d'), Seq.empty)
-           | Design.Simple _ -> Seq.empty
-           | Design.Module rm ->
-               fun () ->
-                 let sch = Lazy.force sch in
-                 let ordered =
-                   List.sort (fun a b -> compare sch.Sched.start.(a) sch.Sched.start.(b)) nodes
-                 in
-                 let odd = List.filteri (fun k _ -> k mod 2 = 1) ordered in
-                 let d', inst = Design.add_inst d (Design.Module rm) in
-                 let d' =
-                   List.fold_left (fun acc n -> Design.with_binding acc n inst) d' odd
-                 in
-                 Seq.Cons
-                   (((Split, Printf.sprintf "split I%d (%s)" i rm.Design.rm_name), d'), Seq.empty))
+         match (idx.(i), d.Design.insts.(i)) with
+         | ([] | [ _ ]), _ -> Seq.empty
+         | _, (Design.Simple fu as kind) when not (Fu.is_chain fu) -> split i kind fu.Fu.name
+         | _, Design.Simple _ -> Seq.empty
+         | _, (Design.Module rm as kind) -> split i kind rm.Design.rm_name)
 
 (* ------------------------------------------------------------------ *)
 (* Move family E: algebraic datapath rewriting *)
@@ -537,10 +532,8 @@ module Metrics = Hsyn_obs.Metrics
    fastest supporting unit and fresh registers. Returns [None] when
    the result does not validate (e.g. a rewrite broke a chained-unit
    binding, or the library has no unit for an introduced operation). *)
-let rebind_rewritten env (d : Design.t) (g' : Dfg.t) =
+let rebind_rewritten env ~by_label (d : Design.t) (g' : Dfg.t) =
   let dfg = d.Design.dfg in
-  let by_label = Hashtbl.create (Array.length dfg.Dfg.nodes) in
-  Array.iteri (fun i (n : Dfg.node) -> Hashtbl.replace by_label n.Dfg.label i) dfg.Dfg.nodes;
   let extra = ref [] and n_extra = ref 0 in
   let base = Array.length d.Design.insts in
   let add_inst k =
@@ -570,28 +563,35 @@ let rebind_rewritten env (d : Design.t) (g' : Dfg.t) =
   | exception Exit -> None
   | exception Not_found -> None
   | node_inst ->
-      let nv' = Design.n_values g' in
+      (* walk [g']'s values node by node, output by output: ascending
+         value order, so fresh registers are numbered as before, and
+         only [dfg]'s value numbering is queried (alternating two
+         graphs would rebuild the offset memo on every query) *)
+      let nv' = Array.fold_left (fun acc (n : Dfg.node) -> acc + n.Dfg.n_out) 0 g'.Dfg.nodes in
       let value_reg = Array.make nv' (-1) in
       let next = ref d.Design.n_regs in
-      for v = 0 to nv' - 1 do
-        let (p : Dfg.port) = Design.value_of_index g' v in
-        let node = g'.Dfg.nodes.(p.Dfg.node) in
-        match node.Dfg.kind with
-        | Dfg.Const _ | Dfg.Output -> ()
-        | Dfg.Input | Dfg.Op _ | Dfg.Call _ | Dfg.Delay _ -> (
-            let preserved =
-              match Hashtbl.find_opt by_label node.Dfg.label with
-              | Some orig when dfg.Dfg.nodes.(orig).Dfg.n_out > p.Dfg.out ->
-                  let ov = Design.value_index dfg { Dfg.node = orig; out = p.Dfg.out } in
-                  if d.Design.value_reg.(ov) >= 0 then Some d.Design.value_reg.(ov) else None
-              | _ -> None
-            in
-            match preserved with
-            | Some r -> value_reg.(v) <- r
-            | None ->
-                value_reg.(v) <- !next;
-                incr next)
-      done;
+      let v = ref 0 in
+      Array.iter
+        (fun (node : Dfg.node) ->
+          (match node.Dfg.kind with
+          | Dfg.Const _ | Dfg.Output -> ()
+          | Dfg.Input | Dfg.Op _ | Dfg.Call _ | Dfg.Delay _ ->
+              let orig = Hashtbl.find_opt by_label node.Dfg.label in
+              for out = 0 to node.Dfg.n_out - 1 do
+                let preserved =
+                  match orig with
+                  | Some orig when dfg.Dfg.nodes.(orig).Dfg.n_out > out ->
+                      d.Design.value_reg.(Design.value_index dfg { Dfg.node = orig; out })
+                  | _ -> -1
+                in
+                if preserved >= 0 then value_reg.(!v + out) <- preserved
+                else begin
+                  value_reg.(!v + out) <- !next;
+                  incr next
+                end
+              done);
+          v := !v + node.Dfg.n_out)
+        g'.Dfg.nodes;
       let insts = Array.append d.Design.insts (Array.of_list (List.rev !extra)) in
       let d' = { Design.dfg = g'; insts; node_inst; value_reg; n_regs = !next } in
       let d' = Design.compact d' in
@@ -606,16 +606,25 @@ let rewrite_candidates env (d : Design.t) : candidate Seq.t =
   let bump name = if Metrics.is_enabled () then Metrics.incr (Metrics.counter name) in
   let simulate d = Sim.outputs d (Sim.run ~cache:(sched_cache env) d (Engine.trace env.engine)) in
   let reference = lazy (simulate d) in
-  List.to_seq (Rewrite_dfg.candidates d.Design.dfg)
+  let dfg = d.Design.dfg in
+  (* surviving nodes are matched by label: one table for all candidates *)
+  let by_label =
+    lazy
+      (let tbl = Hashtbl.create (Array.length dfg.Dfg.nodes) in
+       Array.iteri (fun i (n : Dfg.node) -> Hashtbl.replace tbl n.Dfg.label i) dfg.Dfg.nodes;
+       tbl)
+  in
+  List.to_seq (Rewrite_dfg.candidates dfg)
   |> Seq.filter_map (fun (description, g') ->
          bump "moves.rewrite.candidates";
-         match rebind_rewritten env d g' with
+         match rebind_rewritten env ~by_label:(Lazy.force by_label) d g' with
          | None ->
              bump "moves.rewrite.rejected_bind";
              None
          | Some d' -> (
              match simulate d' with
-             | outs when outs = Lazy.force reference -> Some ((Rewrite, description), d')
+             | outs when outs = Lazy.force reference ->
+                 Some ((Rewrite, Lazy.from_val description), d')
              | _ ->
                  bump "moves.rewrite.rejected_sim";
                  None
@@ -629,7 +638,9 @@ let span = Hsyn_obs.Trace.(span Move)
 
 let best_select_or_resynth env cur_value d =
   span "best_select_or_resynth" (fun () ->
-      best_of env cur_value (Seq.append (select_candidates env d) (resynth_candidates env d)))
+      let idx = Design.nodes_by_inst d in
+      best_of env cur_value
+        (Seq.append (select_candidates env idx d) (resynth_candidates env idx d)))
 
 let best_merge env cur_value d =
   span "best_merge" (fun () -> best_of env cur_value (merge_candidates env d))

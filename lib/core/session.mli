@@ -126,8 +126,10 @@ val cost_cache :
     identity, everything else structurally. *)
 
 val cost_find : cost_cache -> int64 -> Design.t -> entry option
-(** Lookup verified against the design: a fingerprint collision is
-    reported as a miss, never a wrong entry. *)
+(** Lookup verified against the design with {!Design.equal}: a
+    fingerprint collision is reported as a miss, never a wrong entry,
+    and a hit on a design sharing the candidate's graph never walks
+    that graph. *)
 
 val cost_insert : cost_cache -> int64 -> entry -> int
 (** Insert (or replace, after a collision) an entry; returns the

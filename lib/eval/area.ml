@@ -80,13 +80,9 @@ let same_writer a b =
    instance in ascending id order, and each node's first value id. *)
 type index = { design : Design.t; on_inst : int list array; off : int array }
 
-let index n_insts (d : Design.t) =
+let index (d : Design.t) =
   let nodes = d.Design.dfg.Dfg.nodes in
-  let on_inst = Array.make n_insts [] in
-  for id = Array.length d.Design.node_inst - 1 downto 0 do
-    let i = d.Design.node_inst.(id) in
-    if i >= 0 && i < n_insts then on_inst.(i) <- id :: on_inst.(i)
-  done;
+  let on_inst = Design.nodes_by_inst d in
   let off = Array.make (Array.length nodes + 1) 0 in
   Array.iteri (fun id (node : Dfg.node) -> off.(id + 1) <- off.(id) + node.Dfg.n_out) nodes;
   { design = d; on_inst; off }
@@ -199,7 +195,7 @@ and datapath_of_parts cache ctx (first : Design.t) (designs : Design.t list) =
   let units = Array.fold_left (fun acc k -> acc +. inst_area cache ctx k) 0. first.Design.insts in
   let n_insts = Array.length first.Design.insts in
   let used_regs, mux_inputs, nets =
-    counts n_insts first.Design.n_regs (List.map (index n_insts) designs)
+    counts n_insts first.Design.n_regs (List.map index designs)
   in
   {
     units;

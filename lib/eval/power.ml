@@ -169,12 +169,7 @@ let ports_of d off (nodes : int list) ~chain ~order =
 
 let build_plan ~top (d : Design.t) off (sch : Sched.schedule) =
   let dfg = d.Design.dfg in
-  let n_insts = Array.length d.Design.insts in
-  let on_inst = Array.make n_insts [] in
-  for id = Array.length d.Design.node_inst - 1 downto 0 do
-    let i = d.Design.node_inst.(id) in
-    if i >= 0 && i < n_insts then on_inst.(i) <- id :: on_inst.(i)
-  done;
+  let on_inst = Design.nodes_by_inst d in
   let by_start (p1 : Dfg.port) (p2 : Dfg.port) =
     compare sch.Sched.start.(p1.Dfg.node) sch.Sched.start.(p2.Dfg.node)
   in

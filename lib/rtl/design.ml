@@ -78,9 +78,15 @@ let consumer_index (dfg : Dfg.t) =
 (* Structural fingerprinting (FNV-1a over the full structure).
 
    Keys the evaluation engine's cost cache: two designs with equal
-   fingerprints are re-checked with structural equality before a cache
-   hit is accepted, so collisions cost a recomputation, never a wrong
-   answer. *)
+   fingerprints are re-checked with {!equal} before a cache hit is
+   accepted, so collisions cost a recomputation, never a wrong answer.
+
+   The hashers fold into local mutable accumulators inside plain loops
+   (no closure captures them), so the native compiler keeps the
+   [Int64] state unboxed within a loop; only values crossing a call
+   (a string, a unit, a module) are boxed. The byte stream, in its
+   order, is unchanged — and so is every fingerprint, which results
+   and cache files carry. *)
 
 let fnv_prime = 0x100000001b3L
 let fnv_offset = 0xcbf29ce484222325L
@@ -91,59 +97,153 @@ let mix_float h f = mix h (Int64.bits_of_float f)
 
 let mix_string h s =
   let h = ref (mix_int h (String.length s)) in
-  String.iter (fun c -> h := mix_int !h (Char.code c)) s;
+  for k = 0 to String.length s - 1 do
+    h := mix_int !h (Char.code (String.unsafe_get s k))
+  done;
   !h
 
 let hash_dfg h (dfg : Dfg.t) =
   let h = ref (mix_string h dfg.Dfg.name) in
-  Array.iter
-    (fun (node : Dfg.node) ->
-      (h :=
-         match node.Dfg.kind with
-         | Dfg.Input -> mix_int !h 1
-         | Dfg.Output -> mix_int !h 2
-         | Dfg.Const c -> mix_int (mix_int !h 3) c
-         | Dfg.Delay init -> mix_int (mix_int !h 4) init
-         | Dfg.Op op -> mix_string (mix_int !h 5) (Op.name op)
-         | Dfg.Call b -> mix_string (mix_int !h 6) b);
-      h := mix_int !h node.Dfg.n_out;
-      Array.iter
-        (fun ({ Dfg.node = src; out } : Dfg.port) -> h := mix_int (mix_int !h src) out)
-        node.Dfg.ins)
-    dfg.Dfg.nodes;
+  let nodes = dfg.Dfg.nodes in
+  for id = 0 to Array.length nodes - 1 do
+    let node = nodes.(id) in
+    (h :=
+       match node.Dfg.kind with
+       | Dfg.Input -> mix_int !h 1
+       | Dfg.Output -> mix_int !h 2
+       | Dfg.Const c -> mix_int (mix_int !h 3) c
+       | Dfg.Delay init -> mix_int (mix_int !h 4) init
+       | Dfg.Op op -> mix_string (mix_int !h 5) (Op.name op)
+       | Dfg.Call b -> mix_string (mix_int !h 6) b);
+    h := mix_int !h node.Dfg.n_out;
+    let ins = node.Dfg.ins in
+    for k = 0 to Array.length ins - 1 do
+      let ({ Dfg.node = src; out } : Dfg.port) = ins.(k) in
+      h := mix_int (mix_int !h src) out
+    done
+  done;
   !h
 
 let hash_fu h (fu : Fu.t) =
   let h = mix_string h fu.Fu.name in
   let h =
     match fu.Fu.kind with
-    | Fu.Unit ops -> List.fold_left (fun h op -> mix_string h (Op.name op)) (mix_int h 1) ops
+    | Fu.Unit ops ->
+        let rec go h = function [] -> h | op :: rest -> go (mix_string h (Op.name op)) rest in
+        go (mix_int h 1) ops
     | Fu.Chain (op, k) -> mix_int (mix_string (mix_int h 2) (Op.name op)) k
   in
   let h = mix_float (mix_float (mix_float h fu.Fu.area) fu.Fu.delay_ns) fu.Fu.energy_cap in
   mix_int h (if fu.Fu.pipelined then 1 else 0)
 
-let rec hash_design h (d : t) =
-  let h = ref (hash_dfg h d.dfg) in
-  Array.iter
-    (fun kind ->
-      h :=
-        match kind with
-        | Simple fu -> hash_fu (mix_int !h 7) fu
-        | Module rm -> hash_module (mix_int !h 8) rm)
-    d.insts;
-  Array.iter (fun i -> h := mix_int !h i) d.node_inst;
-  Array.iter (fun r -> h := mix_int !h r) d.value_reg;
+(* Everything of [d] after its graph, continuing from [h] (the hash
+   through [d.dfg]). *)
+let rec hash_rest h (d : t) =
+  let h = ref h in
+  let insts = d.insts in
+  for i = 0 to Array.length insts - 1 do
+    h :=
+      match insts.(i) with
+      | Simple fu -> hash_fu (mix_int !h 7) fu
+      | Module rm -> hash_module (mix_int !h 8) rm
+  done;
+  let node_inst = d.node_inst in
+  for k = 0 to Array.length node_inst - 1 do
+    h := mix_int !h node_inst.(k)
+  done;
+  let value_reg = d.value_reg in
+  for k = 0 to Array.length value_reg - 1 do
+    h := mix_int !h value_reg.(k)
+  done;
   mix_int !h d.n_regs
 
 and hash_module h (rm : rtl_module) =
-  let h = ref (mix_string h rm.rm_name) in
-  List.iter
-    (fun (behavior, part) -> h := hash_design (mix_string !h behavior) part)
-    rm.parts;
-  !h
+  let rec go h = function
+    | [] -> h
+    | (behavior, part) :: rest ->
+        let h = mix_string h behavior in
+        go (hash_rest (hash_dfg h part.dfg) part) rest
+  in
+  go (mix_string h rm.rm_name) rm.parts
 
-let fingerprint d = hash_design fnv_offset d
+(* Every candidate of a batch shares its top graph physically, and the
+   top graph is always hashed from [fnv_offset]: remember the last top
+   graph's hash per domain, like [value_offsets], so the evaluation
+   pool needs no locking. Module parts are hashed directly — their
+   incoming hash varies with what precedes them. *)
+let top_dfg_hash_memo : (Dfg.t * int64) option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let top_dfg_hash (dfg : Dfg.t) =
+  let memo = Domain.DLS.get top_dfg_hash_memo in
+  match !memo with
+  | Some (g, h) when g == dfg -> h
+  | _ ->
+      let h = hash_dfg fnv_offset dfg in
+      memo := Some (dfg, h);
+      h
+
+let fingerprint d = hash_rest (top_dfg_hash d.dfg) d
+
+(* ------------------------------------------------------------------ *)
+(* Structural equality, physical-first.
+
+   Agrees with polymorphic [=] on every design (designs hold no floats
+   but the library units', which are never nan, and no closures), but
+   short-circuits on physically shared components: candidates of one
+   batch share their graph and usually their unit records, where [=]
+   would walk the whole graph on every cache hit. *)
+
+let int_array_equal (a : int array) (b : int array) =
+  a == b
+  || Array.length a = Array.length b
+     &&
+     let k = ref 0 in
+     while !k < Array.length a && a.(!k) = b.(!k) do
+       incr k
+     done;
+     !k = Array.length a
+
+(* Complete record patterns (no [; _]): a new field of [t] or
+   [rtl_module] is a build error here (warning 9), not a field the
+   cache confirmation silently ignores. *)
+let rec equal a b =
+  a == b
+  ||
+  let { dfg; insts; node_inst; value_reg; n_regs } = a in
+  let { dfg = dfg'; insts = insts'; node_inst = node_inst'; value_reg = value_reg'; n_regs = n_regs' } = b in
+  (dfg == dfg' || dfg = dfg')
+  && n_regs = n_regs'
+  && int_array_equal node_inst node_inst'
+  && int_array_equal value_reg value_reg'
+  && insts_equal insts insts'
+
+and insts_equal a b =
+  a == b
+  || Array.length a = Array.length b
+     &&
+     let k = ref 0 in
+     while !k < Array.length a && inst_kind_equal a.(!k) b.(!k) do
+       incr k
+     done;
+     !k = Array.length a
+
+and inst_kind_equal x y =
+  match x, y with
+  | Simple f, Simple g -> f == g || f = g
+  | Module m, Module n ->
+      m == n
+      ||
+      let { rm_name; parts } = m in
+      let { rm_name = rm_name'; parts = parts' } = n in
+      String.equal rm_name rm_name' && parts_equal parts parts'
+  | Simple _, Module _ | Module _, Simple _ -> false
+
+and parts_equal a b =
+  match a, b with
+  | [], [] -> true
+  | (ba, pa) :: ra, (bb, pb) :: rb -> String.equal ba bb && equal pa pb && parts_equal ra rb
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Module queries *)
@@ -169,6 +269,15 @@ let values_in_reg d reg =
   !acc
 
 let inst_used d inst = Array.exists (fun i -> i = inst) d.node_inst
+
+let nodes_by_inst d =
+  let n = Array.length d.insts in
+  let acc = Array.make n [] in
+  for id = Array.length d.node_inst - 1 downto 0 do
+    let i = d.node_inst.(id) in
+    if i >= 0 && i < n then acc.(i) <- id :: acc.(i)
+  done;
+  acc
 
 let reg_count_used d =
   let used = Array.make d.n_regs false in
@@ -279,10 +388,12 @@ let with_inst d i kind =
   insts.(i) <- kind;
   { d with insts }
 
-let with_binding d node inst =
+let with_bindings d nodes inst =
   let node_inst = Array.copy d.node_inst in
-  node_inst.(node) <- inst;
+  List.iter (fun node -> node_inst.(node) <- inst) nodes;
   { d with node_inst }
+
+let with_binding d node inst = with_bindings d [ node ] inst
 
 let with_value_reg d value reg =
   let value_reg = Array.copy d.value_reg in
@@ -295,30 +406,45 @@ let add_inst d kind =
 
 let fresh_reg d = ({ d with n_regs = d.n_regs + 1 }, d.n_regs)
 
+(* One pass over [node_inst] finds the used instances; when nothing
+   is dropped or renumbered the original arrays are kept (designs are
+   never mutated in place, so sharing them is safe). *)
 let compact d =
-  let inst_map = Array.make (Array.length d.insts) (-1) in
-  let kept = ref [] in
+  let n = Array.length d.insts in
+  let used = Array.make n false in
+  Array.iter (fun i -> if i >= 0 && i < n then used.(i) <- true) d.node_inst;
+  let inst_map = Array.make n (-1) in
   let next = ref 0 in
-  Array.iteri
-    (fun i kind ->
-      if inst_used d i then begin
-        inst_map.(i) <- !next;
-        incr next;
-        kept := kind :: !kept
-      end)
-    d.insts;
-  let insts = Array.of_list (List.rev !kept) in
-  let node_inst = Array.map (fun i -> if i < 0 then -1 else inst_map.(i)) d.node_inst in
+  for i = 0 to n - 1 do
+    if used.(i) then begin
+      inst_map.(i) <- !next;
+      incr next
+    end
+  done;
+  let insts, node_inst =
+    if !next = n then (d.insts, d.node_inst)
+    else
+      let kept = ref [] in
+      for i = n - 1 downto 0 do
+        if used.(i) then kept := d.insts.(i) :: !kept
+      done;
+      (Array.of_list !kept, Array.map (fun i -> if i < 0 then -1 else inst_map.(i)) d.node_inst)
+  in
   let reg_map = Array.make d.n_regs (-1) in
   let next_reg = ref 0 in
+  let identity = ref true in
   Array.iter
     (fun r ->
       if r >= 0 && reg_map.(r) < 0 then begin
         reg_map.(r) <- !next_reg;
+        if r <> !next_reg then identity := false;
         incr next_reg
       end)
     d.value_reg;
-  let value_reg = Array.map (fun r -> if r < 0 then -1 else reg_map.(r)) d.value_reg in
+  let value_reg =
+    if !identity then d.value_reg
+    else Array.map (fun r -> if r < 0 then -1 else reg_map.(r)) d.value_reg
+  in
   { d with insts; node_inst; value_reg; n_regs = !next_reg }
 
 (* ------------------------------------------------------------------ *)

@@ -58,7 +58,13 @@ val value_index : Dfg.t -> Dfg.port -> int
 (** Dense index of a value; ports of one node are consecutive. *)
 
 val value_of_index : Dfg.t -> int -> Dfg.port
-(** Inverse of {!value_index}. *)
+(** Inverse of {!value_index}.
+
+    Both read a per-graph offset table that is memoized for the last
+    graph queried on the calling domain. Alternating queries between
+    two graphs (say, an original and a rewritten one) rebuilds the
+    table, O(nodes), on every call: walk one graph's values at a time,
+    or walk [nodes] and their [n_out] directly. *)
 
 val consumer_index : Dfg.t -> (int * int) list array
 (** Per value index, the [(consumer node, input port)] pairs reading
@@ -71,8 +77,18 @@ val fingerprint : t -> int64
     instance types (recursively through module parts), the node and
     register bindings. Two structurally equal designs have equal
     fingerprints; the evaluation engine uses this as its cost-cache
-    key (verifying candidates against cached designs with structural
-    equality, so a collision can never yield a wrong evaluation). *)
+    key (verifying candidates against cached designs with {!equal}, so
+    a collision can never yield a wrong evaluation). The hash of the
+    last top-level graph is remembered per domain, keyed on the
+    physical graph, so the candidates of one batch, which share their
+    graph, hash only their bindings and instances. *)
+
+val equal : t -> t -> bool
+(** Structural equality; agrees with polymorphic [=] on every design.
+    Checks physical equality first, then the graph ([==], falling back
+    to [=]), [n_regs], the binding arrays and the instances element by
+    element ([==] first on units and modules), so a probe against a
+    design sharing the candidate's graph never walks that graph. *)
 
 (** {1 Module queries} *)
 
@@ -92,6 +108,13 @@ val values_in_reg : t -> int -> int list
 
 val inst_used : t -> int -> bool
 
+val nodes_by_inst : t -> int list array
+(** Per instance, the ascending ids of the nodes bound to it — built
+    in one pass over [node_inst]; [[]] means the instance is unused.
+    [(nodes_by_inst d).(i) = nodes_on d i] for every instance. Move
+    generators build it once per design instead of calling
+    {!nodes_on}/{!inst_used} (each O(nodes)) inside their loops. *)
+
 val reg_count_used : t -> int
 (** Number of registers with at least one value bound. *)
 
@@ -110,6 +133,10 @@ val with_inst : t -> int -> inst_kind -> t
 val with_binding : t -> int -> int -> t
 (** [with_binding d node inst] rebinds one node. *)
 
+val with_bindings : t -> int list -> int -> t
+(** [with_bindings d nodes inst] rebinds every node of [nodes] to
+    [inst], copying [node_inst] once. *)
+
 val with_value_reg : t -> int -> int -> t
 (** [with_value_reg d value reg] moves a value to another register
     (growing [n_regs] if needed). *)
@@ -122,7 +149,9 @@ val fresh_reg : t -> t * int
 
 val compact : t -> t
 (** Drop instances with no bound nodes and registers with no bound
-    values, renumbering the survivors (bindings are remapped). *)
+    values, renumbering the survivors (bindings are remapped). One pass
+    over [node_inst] finds the used instances; arrays that need no
+    renumbering are shared with [d], not copied. *)
 
 val pp_inst_kind : Format.formatter -> inst_kind -> unit
 val pp : Format.formatter -> t -> unit

@@ -266,12 +266,7 @@ and compute_module_profile cache ctx rm behavior =
 
 and build_jobs_event cache (p : Prepared.t) ctx (d : Design.t) =
   let dfg = d.Design.dfg in
-  (* bucket nodes by instance in one sweep (ascending per instance) *)
-  let inst_nodes = Array.make (Array.length d.Design.insts) [] in
-  for id = Array.length d.Design.node_inst - 1 downto 0 do
-    let i = d.Design.node_inst.(id) in
-    if i >= 0 then inst_nodes.(i) <- id :: inst_nodes.(i)
-  done;
+  let inst_nodes = Design.nodes_by_inst d in
   let jobs = ref [] in
   let add_job j = jobs := j :: !jobs in
   let external_needs members need_of =

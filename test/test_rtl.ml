@@ -195,6 +195,224 @@ let test_module_part_lookup () =
           ignore (Design.module_part rm "nosuch"))
   | Design.Simple _ -> Alcotest.fail "expected module"
 
+(* ------------------------------------------------------------------ *)
+(* Equality, fingerprints, the instance index and compaction over the
+   paper's suite and over fuzz-generated (module-bearing) designs *)
+
+module Suite = Hsyn_benchmarks.Suite
+module Flatten = Hsyn_dfg.Flatten
+module Gen = Hsyn_fuzz.Gen
+
+(* The Table 4 benchmarks' initial designs: hierarchical (the power
+   flow's starting point) and flattened (the area baseline's). *)
+let suite_designs () =
+  List.concat_map
+    (fun (b : Suite.t) ->
+      let hier = Tu.initial ~registry:b.Suite.registry ctx b.Suite.dfg in
+      let flat =
+        Tu.initial ~registry:b.Suite.registry ctx (Flatten.flatten b.Suite.registry b.Suite.dfg)
+      in
+      [ (b.Suite.name ^ "/hier", hier); (b.Suite.name ^ "/flat", flat) ])
+    (Suite.all ())
+
+let fuzz_designs () =
+  List.filter_map
+    (fun seed ->
+      let prog = Gen.program (Hsyn_util.Rng.create seed) in
+      match Tu.initial ~registry:prog.Hsyn_dfg.Text.registry ctx (Gen.top_graph prog) with
+      | d -> Some (Printf.sprintf "fuzz %d" seed, d)
+      | exception Not_found -> None)
+    (List.init 40 Fun.id)
+
+let corpus () = suite_designs () @ fuzz_designs ()
+
+let deep_copy (x : 'a) : 'a = Marshal.from_string (Marshal.to_string x []) 0
+
+(* Designs differing from [d] in exactly one field (or one nested
+   field), each paired with the field's name. *)
+let mutants (d : Design.t) =
+  let first_bound =
+    let rec go id =
+      if id >= Array.length d.Design.node_inst then None
+      else if d.Design.node_inst.(id) >= 0 then Some id
+      else go (id + 1)
+    in
+    go 0
+  in
+  let value_reg =
+    if Array.length d.Design.value_reg = 0 then []
+    else
+      let vr = Array.copy d.Design.value_reg in
+      vr.(0) <- (if vr.(0) = 0 then 1 else 0);
+      [ ("value_reg", { d with Design.value_reg = vr }) ]
+  in
+  let node_inst =
+    match first_bound with
+    | Some id -> [ ("node_inst", Design.with_binding d id (-1)) ]
+    | None -> []
+  in
+  let inst =
+    if Array.length d.Design.insts = 0 then []
+    else
+      match d.Design.insts.(0) with
+      | Design.Simple fu ->
+          [
+            ("unit name", Design.with_inst d 0 (Design.Simple { fu with Fu.name = fu.Fu.name ^ "'" }));
+            ("unit area", Design.with_inst d 0 (Design.Simple { fu with Fu.area = fu.Fu.area +. 1. }));
+          ]
+      | Design.Module rm ->
+          let part_mutant =
+            match rm.Design.parts with
+            | (b, p) :: rest ->
+                [
+                  ( "module part",
+                    Design.with_inst d 0
+                      (Design.Module
+                         {
+                           rm with
+                           Design.parts = (b, { p with Design.n_regs = p.Design.n_regs + 1 }) :: rest;
+                         }) );
+                ]
+            | [] -> []
+          in
+          ( "module name",
+            Design.with_inst d 0 (Design.Module { rm with Design.rm_name = rm.Design.rm_name ^ "'" })
+          )
+          :: part_mutant
+  in
+  let label =
+    let g = deep_copy d.Design.dfg in
+    let node = g.Dfg.nodes.(0) in
+    g.Dfg.nodes.(0) <- { node with Dfg.label = node.Dfg.label ^ "'" };
+    ("dfg label", { d with Design.dfg = g })
+  in
+  (("n_regs", { d with Design.n_regs = d.Design.n_regs + 1 }) :: label :: value_reg)
+  @ node_inst @ inst
+
+let has_module (d : Design.t) =
+  Array.exists (function Design.Module _ -> true | Design.Simple _ -> false) d.Design.insts
+
+let test_equal_agrees_with_structural () =
+  checkb "fuzz corpus has module designs" true
+    (List.exists (fun (_, d) -> has_module d) (fuzz_designs ()));
+  List.iter
+    (fun (name, d) ->
+      checkb (name ^ ": reflexive") true (Design.equal d d);
+      checkb (name ^ ": marshal copy") true (Design.equal d (deep_copy d));
+      checkb (name ^ ": copy fingerprint") true
+        (Int64.equal (Design.fingerprint d) (Design.fingerprint (deep_copy d)));
+      List.iter
+        (fun (field, m) ->
+          let what = Printf.sprintf "%s: %s mutant" name field in
+          checkb what (d = m) (Design.equal d m);
+          checkb what (m = d) (Design.equal m d);
+          checkb (what ^ " is a mutant") false (Design.equal d m))
+        (mutants d))
+    (corpus ())
+
+(* Computed with the closure-folding hasher this one replaced: the
+   fingerprint is part of results and cache files, so its bits are
+   pinned. *)
+let golden_fingerprints =
+  [
+    ("avenhaus_cascade", "e66808079bbd85bb", "fdab85af7a2e3560");
+    ("lat", "b4e3f759e5d12e37", "7a27080c959d4fb1");
+    ("dct", "dbc992ba8741b59f", "e2a80c245b810d3c");
+    ("iir", "d0ef4d4b9576382c", "dda1b61ccb996676");
+    ("hier_paulin", "e1420297f39e5f1f", "a818b0470887cfc6");
+    ("test1", "ece9b6cd20346f77", "5acbe23d4f4fab7b");
+  ]
+
+let test_golden_fingerprints () =
+  let designs = suite_designs () in
+  let hex d = Printf.sprintf "%016Lx" (Design.fingerprint d) in
+  List.iter
+    (fun (bench, hier, flat) ->
+      (* twice: the second call goes through the per-domain graph memo *)
+      for _ = 1 to 2 do
+        Alcotest.(check string) (bench ^ "/hier") hier (hex (List.assoc (bench ^ "/hier") designs));
+        Alcotest.(check string) (bench ^ "/flat") flat (hex (List.assoc (bench ^ "/flat") designs))
+      done)
+    golden_fingerprints
+
+(* The per-instance-scan compaction the one-pass [Design.compact]
+   replaced, kept as its reference. *)
+let reference_compact (d : Design.t) =
+  let inst_map = Array.make (Array.length d.Design.insts) (-1) in
+  let kept = ref [] in
+  let next = ref 0 in
+  Array.iteri
+    (fun i kind ->
+      if Design.inst_used d i then begin
+        inst_map.(i) <- !next;
+        incr next;
+        kept := kind :: !kept
+      end)
+    d.Design.insts;
+  let insts = Array.of_list (List.rev !kept) in
+  let node_inst = Array.map (fun i -> if i < 0 then -1 else inst_map.(i)) d.Design.node_inst in
+  let reg_map = Array.make d.Design.n_regs (-1) in
+  let next_reg = ref 0 in
+  Array.iter
+    (fun r ->
+      if r >= 0 && reg_map.(r) < 0 then begin
+        reg_map.(r) <- !next_reg;
+        incr next_reg
+      end)
+    d.Design.value_reg;
+  let value_reg = Array.map (fun r -> if r < 0 then -1 else reg_map.(r)) d.Design.value_reg in
+  { d with Design.insts; node_inst; value_reg; n_regs = !next_reg }
+
+(* Each design plus variants with unused instances (at the end and in
+   the middle) and unused or out-of-order registers. *)
+let with_holes (name, (d : Design.t)) =
+  let n = Array.length d.Design.insts in
+  let trailing = if n = 0 then [] else [ (name ^ " +unused inst", fst (Design.add_inst d d.Design.insts.(0))) ] in
+  let middle =
+    if n < 2 then []
+    else [ (name ^ " inst 0 emptied", Design.with_bindings d (Design.nodes_on d 0) (n - 1)) ]
+  in
+  let regs =
+    if Array.length d.Design.value_reg = 0 then []
+    else
+      [
+        (name ^ " reg hole", Design.with_value_reg d 0 (d.Design.n_regs + 3));
+        (name ^ " spare reg", fst (Design.fresh_reg d));
+        ( name ^ " regs reversed",
+          { d with Design.value_reg = Array.map (fun r -> if r < 0 then r else d.Design.n_regs - 1 - r) d.Design.value_reg } );
+      ]
+  in
+  ((name, d) :: trailing) @ middle @ regs
+
+let test_nodes_by_inst () =
+  List.iter
+    (fun (name, d) ->
+      let idx = Design.nodes_by_inst d in
+      checki (name ^ ": one entry per instance") (Array.length d.Design.insts) (Array.length idx);
+      Array.iteri
+        (fun i nodes ->
+          Alcotest.(check (list int)) (Printf.sprintf "%s: I%d" name i) (Design.nodes_on d i) nodes)
+        idx)
+    (List.concat_map with_holes (corpus ()))
+
+let test_compact_matches_reference () =
+  List.iter
+    (fun (name, d) ->
+      let fast = Design.compact d and slow = reference_compact d in
+      checkb name true (fast = slow);
+      checkb (name ^ " (equal)") true (Design.equal fast slow))
+    (List.concat_map with_holes (corpus ()))
+
+let test_with_bindings () =
+  let g = Tu.small_graph () in
+  let d = Tu.initial ctx g in
+  let i1 = Tu.inst_of d "s1" in
+  let nodes = [ Tu.node_id g "s2"; Tu.node_id g "m" ] in
+  let one_copy = Design.with_bindings d nodes i1 in
+  let folded = List.fold_left (fun d n -> Design.with_binding d n i1) d nodes in
+  checkb "same as folding with_binding" true (one_copy = folded);
+  checkb "original intact" true (Design.inst_used d (Tu.inst_of d "s2"))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "rtl"
@@ -226,5 +444,13 @@ let () =
           tc "incompatible unit" test_validate_incompatible_unit;
           tc "chain shape" test_validate_chain_shape;
           tc "call on simple" test_validate_call_on_simple;
+        ] );
+      ( "identity",
+        [
+          tc "equal agrees with =" test_equal_agrees_with_structural;
+          tc "golden fingerprints" test_golden_fingerprints;
+          tc "nodes_by_inst = nodes_on" test_nodes_by_inst;
+          tc "one-pass compact = reference" test_compact_matches_reference;
+          tc "with_bindings = folded with_binding" test_with_bindings;
         ] );
     ]
