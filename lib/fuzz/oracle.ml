@@ -76,50 +76,10 @@ let check_roundtrip _rng (prog : Text.program) =
   compare "crlf" crlf
 
 (* ------------------------------------------------------------------ *)
-(* sched-diff: event-driven kernel ≡ reference time-stepped kernel.   *)
-
-let same_schedule (a : Sched.schedule) (b : Sched.schedule) =
-  a.Sched.start = b.Sched.start && a.Sched.avail = b.Sched.avail
-  && a.Sched.makespan = b.Sched.makespan
-  && a.Sched.feasible = b.Sched.feasible
-
-let check_sched_diff _rng (prog : Text.program) =
-  let check_ctx ctx =
-    let d = initial_design ctx prog in
-    let rec at deadlines =
-      match deadlines with
-      | [] -> Ok ()
-      | deadline :: rest ->
-          let cs = Sched.relaxed ~deadline d.Design.dfg in
-          let reference = Ref_sched.schedule ctx cs d in
-          let event = Sched.schedule ctx cs d in
-          if not (same_schedule event reference) then
-            fail
-              "vdd=%g deadline=%d: kernels disagree (event makespan=%d feasible=%b, reference \
-               makespan=%d feasible=%b)"
-              ctx.Design.vdd deadline event.Sched.makespan event.Sched.feasible
-              reference.Sched.makespan reference.Sched.feasible
-          else
-            (* follow up at the exact makespan and one cycle under it:
-               the tight and the infeasible boundary are where the two
-               kernels historically diverged *)
-            let rest =
-              if deadline > 1000 || rest <> [] then rest
-              else [ max 1 reference.Sched.makespan; max 1 (reference.Sched.makespan - 1) ]
-            in
-            at rest
-    in
-    at [ 10000 ]
-  in
-  let* () = check_ctx ctx5 in
-  check_ctx ctx3
-
-(* ------------------------------------------------------------------ *)
-(* engine-direct: the evaluation engine is an optimization of the     *)
-(* cost oracle, never a change to it.                                 *)
-
-(* Candidate neighborhood of the initial design: functional-unit
-   swaps and register re-assignments, kept only when still valid. *)
+(* Candidate neighbourhood of the initial design: functional-unit
+   swaps and register re-assignments, kept only when still valid.
+   Shared by the sched-diff, engine-direct, power-diff and area-diff
+   oracles. *)
 let candidates ctx (d : Design.t) =
   let swaps =
     Array.to_list d.Design.insts
@@ -140,6 +100,117 @@ let candidates ctx (d : Design.t) =
   in
   let all = d :: swaps @ regs in
   List.filter (fun c -> Design.validate ctx c = Ok ()) all
+
+(* ------------------------------------------------------------------ *)
+(* sched-diff: event-driven kernel ≡ reference time-stepped kernel.   *)
+
+(* The initial binding gives every operation an instance of its own,
+   and so does every design in [candidates]: alone they leave the
+   kernel's instance serialization (parked jobs, the release heap,
+   pipelined initiation, chaining) unchecked. Here each instance takes
+   over the nodes of the next instance of the same kind, then runs on
+   each alternative of its unit as well, kept only when still valid. *)
+let shared_instances ctx (d : Design.t) =
+  let same a b =
+    match (a, b) with
+    | Design.Simple x, Design.Simple y -> String.equal x.Hsyn_modlib.Fu.name y.Hsyn_modlib.Fu.name
+    | Design.Module x, Design.Module y -> String.equal x.Design.rm_name y.Design.rm_name
+    | Design.Simple _, Design.Module _ | Design.Module _, Design.Simple _ -> false
+  in
+  let insts = d.Design.insts in
+  let n = Array.length insts in
+  let on_inst = Design.nodes_by_inst d in
+  let rec next i j = if j >= n then None else if same insts.(i) insts.(j) then Some j else next i (j + 1) in
+  List.init n (fun i ->
+      match next i (i + 1) with
+      | None -> []
+      | Some j ->
+          let merged = Design.with_bindings d on_inst.(j) i in
+          let alts =
+            match insts.(i) with
+            | Design.Simple fu ->
+                List.map
+                  (fun alt -> Design.with_inst merged i (Design.Simple alt))
+                  (Library.alternatives ctx.Design.lib fu)
+            | Design.Module _ -> []
+          in
+          List.map Design.compact (merged :: alts))
+  |> List.concat
+  |> List.filter (fun c -> Design.validate ctx c = Ok ())
+
+let same_schedule (a : Sched.schedule) (b : Sched.schedule) =
+  a.Sched.start = b.Sched.start && a.Sched.avail = b.Sched.avail
+  && a.Sched.makespan = b.Sched.makespan
+  && a.Sched.feasible = b.Sched.feasible
+
+(* Every design is scheduled under relaxed constraints — at a loose
+   deadline, at the reference makespan and one cycle under it — and
+   under constrained ones: input k arrives at cycle k mod 3, first with
+   no output deadline, then with each output due exactly when the
+   reference consumes it, then one cycle earlier. The designs are the
+   initial binding, where every value has a register of its own, its
+   [candidates] neighbourhood, whose register re-assignments pose the
+   register-ordering edges, deadlocks and input/constant read bounds
+   the initial design never does, and its [shared_instances]. Nothing
+   is drawn from the RNG. *)
+let check_sched_diff _rng (prog : Text.program) =
+  let compare_at ctx i what (cs : Sched.constraints) d =
+    let reference = Ref_sched.schedule ctx cs d in
+    let event = Sched.schedule ctx cs d in
+    if same_schedule event reference then Ok reference
+    else
+      fail
+        "vdd=%g candidate %d %s deadline=%d: kernels disagree (event makespan=%d feasible=%b, \
+         reference makespan=%d feasible=%b)"
+        ctx.Design.vdd i what cs.Sched.deadline event.Sched.makespan event.Sched.feasible
+        reference.Sched.makespan reference.Sched.feasible
+  in
+  let check_design ctx i (d : Design.t) =
+    let dfg = d.Design.dfg in
+    let relaxed deadline = Sched.relaxed ~deadline dfg in
+    let* loose = compare_at ctx i "relaxed" (relaxed 10000) d in
+    (* the tight and the infeasible boundary are where the two kernels
+       historically diverged *)
+    let m = loose.Sched.makespan in
+    let* _ = compare_at ctx i "relaxed" (relaxed (max 1 m)) d in
+    let* _ = compare_at ctx i "relaxed" (relaxed (max 1 (m - 1))) d in
+    let arrivals =
+      { (relaxed 10000) with Sched.input_arrival = Array.mapi (fun k _ -> k mod 3) dfg.Dfg.inputs }
+    in
+    let* late = compare_at ctx i "arrivals" arrivals d in
+    let consumed =
+      Array.map
+        (fun o -> late.Sched.avail.(Design.value_index dfg dfg.Dfg.nodes.(o).Dfg.ins.(0)))
+        dfg.Dfg.outputs
+    in
+    let due slack =
+      {
+        arrivals with
+        Sched.output_deadline = Some (Array.map (fun c -> c - slack) consumed);
+        deadline = max 1 late.Sched.makespan;
+      }
+    in
+    let* _ = compare_at ctx i "output deadlines" (due 0) d in
+    let* _ = compare_at ctx i "output deadlines - 1" (due 1) d in
+    Ok ()
+  in
+  let check_ctx ctx =
+    let rec each i = function
+      | [] -> Ok ()
+      | d :: rest ->
+          let* () = check_design ctx i d in
+          each (i + 1) rest
+    in
+    (* [candidates] starts with the initial design itself *)
+    let d = initial_design ctx prog in
+    each 0 (candidates ctx d @ shared_instances ctx d)
+  in
+  let* () = check_ctx ctx5 in
+  check_ctx ctx3
+
+(* ------------------------------------------------------------------ *)
+(* engine-direct: the evaluation engine is an optimization of the     *)
+(* cost oracle, never a change to it.                                 *)
 
 let check_engine_direct rng (prog : Text.program) =
   let ctx = ctx5 in

@@ -48,11 +48,16 @@ type schedule = {
 
 (** {1 Prepared scheduling contexts}
 
-    Everything the scheduler needs that depends only on the DFG (value
-    numbering, topological order, consumer index) is hoisted into a
-    context built once per graph. Candidate designs produced by the
-    move loop share their graph physically, so one context serves
-    thousands of evaluations. *)
+    Everything the scheduler needs that depends only on the DFG is
+    hoisted into a context built once per graph: value numbering and
+    each value's producer, the topological order, the consumer index,
+    the Op/Call nodes that must be bound, the Output/Delay sinks, the
+    Const/Delay values available at cycle 0, the input-port count and
+    the register write order (every value, nodes in topological order,
+    a node's values ascending — the order in which values sharing a
+    register are written). Candidate designs produced by the move loop
+    share their graph physically, so one context serves thousands of
+    evaluations. *)
 
 module Prepared : sig
   type t

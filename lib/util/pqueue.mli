@@ -1,34 +1,38 @@
-(** Mutable binary-heap priority queue with integer priorities.
+(** Mutable binary min-heap of integer keys carrying integer values.
 
-    Used by the list scheduler (ready queue keyed by priority) and by
-    greedy matching in RTL embedding. Lower keys pop first; ties break
-    on insertion order, which keeps the scheduler deterministic. *)
+    The list scheduler's ready, pending and release queues. Keys and
+    values live in two flat arrays, so [add], [min_key] and [pop]
+    allocate nothing once the capacity suffices. Equal keys pop in an
+    unspecified order: callers that need a deterministic order make
+    their keys injective, or drain every equal key before the order
+    can matter. *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
-(** Fresh empty queue. *)
+val create : ?capacity:int -> unit -> t
+(** Fresh empty queue with room for [capacity] entries (default 16)
+    before it grows. *)
 
-val length : 'a t -> int
-(** Number of queued elements. *)
+val length : t -> int
+(** Number of queued entries. *)
 
-val is_empty : 'a t -> bool
+val is_empty : t -> bool
 
-val add : 'a t -> key:int -> 'a -> unit
+val add : t -> key:int -> int -> unit
 (** [add q ~key v] enqueues [v] with priority [key]. *)
 
-val pop : 'a t -> (int * 'a) option
-(** Remove and return the minimum-key element, insertion order breaking
-    ties. [None] when empty. *)
+val min_key : t -> int
+(** The least key in the queue, or [max_int] when it is empty. *)
 
-val peek : 'a t -> (int * 'a) option
-(** Like {!pop} without removing. *)
+val pop : t -> int
+(** Remove a least-key entry and return its value.
+    @raise Invalid_argument when the queue is empty. *)
 
-val clear : 'a t -> unit
-(** Remove all elements. *)
+val clear : t -> unit
+(** Remove all entries, keeping the capacity. *)
 
-val of_list : (int * 'a) list -> 'a t
+val of_list : (int * int) list -> t
 (** Queue containing all [(key, value)] pairs of the list. *)
 
-val to_sorted_list : 'a t -> (int * 'a) list
+val to_sorted_list : t -> (int * int) list
 (** Drain a copy of the queue in pop order; the queue is unchanged. *)

@@ -79,59 +79,65 @@ let test_rng_pick () =
 (* Pqueue *)
 
 let test_pqueue_ordering () =
-  let q = Pqueue.of_list [ (5, "e"); (1, "a"); (3, "c"); (2, "b"); (4, "d") ] in
+  let q = Pqueue.of_list [ (5, 50); (1, 10); (3, 30); (2, 20); (4, 40) ] in
   let order = ref [] in
-  let rec drain () =
-    match Pqueue.pop q with
-    | Some (_, v) ->
-        order := v :: !order;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  check (Alcotest.list Alcotest.string) "sorted" [ "a"; "b"; "c"; "d"; "e" ] (List.rev !order)
+  while not (Pqueue.is_empty q) do
+    order := Pqueue.pop q :: !order
+  done;
+  check (Alcotest.list Alcotest.int) "sorted" [ 10; 20; 30; 40; 50 ] (List.rev !order)
 
-let test_pqueue_fifo_ties () =
-  let q = Pqueue.create () in
-  Pqueue.add q ~key:1 "first";
-  Pqueue.add q ~key:1 "second";
-  Pqueue.add q ~key:1 "third";
-  let pop () = match Pqueue.pop q with Some (_, v) -> v | None -> "?" in
-  check Alcotest.string "tie order 1" "first" (pop ());
-  check Alcotest.string "tie order 2" "second" (pop ());
-  check Alcotest.string "tie order 3" "third" (pop ())
-
-let test_pqueue_peek_and_length () =
+let test_pqueue_min_key_and_length () =
   let q = Pqueue.create () in
   checkb "empty" true (Pqueue.is_empty q);
-  Pqueue.add q ~key:2 "x";
-  Pqueue.add q ~key:1 "y";
+  checki "empty min_key" max_int (Pqueue.min_key q);
+  Pqueue.add q ~key:2 7;
+  Pqueue.add q ~key:1 8;
   checki "length" 2 (Pqueue.length q);
-  (match Pqueue.peek q with
-  | Some (k, v) ->
-      checki "peek key" 1 k;
-      check Alcotest.string "peek value" "y" v
-  | None -> Alcotest.fail "expected peek");
-  checki "peek does not remove" 2 (Pqueue.length q)
+  checki "min_key" 1 (Pqueue.min_key q);
+  checki "min_key does not remove" 2 (Pqueue.length q);
+  checki "pop returns the min-key value" 8 (Pqueue.pop q);
+  checki "next min_key" 2 (Pqueue.min_key q)
+
+let test_pqueue_pop_empty () =
+  let q = Pqueue.of_list [ (1, 1) ] in
+  ignore (Pqueue.pop q);
+  Alcotest.check_raises "empty" (Invalid_argument "Pqueue.pop: empty queue") (fun () ->
+      ignore (Pqueue.pop q))
+
+let test_pqueue_grows () =
+  (* capacity 1, then 100 entries in descending key order *)
+  let q = Pqueue.create ~capacity:1 () in
+  for k = 100 downto 1 do
+    Pqueue.add q ~key:k (-k)
+  done;
+  checki "length" 100 (Pqueue.length q);
+  for k = 1 to 100 do
+    checki "min_key" k (Pqueue.min_key q);
+    checki "value" (-k) (Pqueue.pop q)
+  done
 
 let test_pqueue_clear () =
-  let q = Pqueue.of_list [ (1, ()); (2, ()) ] in
+  let q = Pqueue.of_list [ (1, 0); (2, 0) ] in
   Pqueue.clear q;
-  checkb "cleared" true (Pqueue.is_empty q)
+  checkb "cleared" true (Pqueue.is_empty q);
+  checki "cleared min_key" max_int (Pqueue.min_key q)
 
 let test_pqueue_to_sorted_list () =
-  let q = Pqueue.of_list [ (3, "c"); (1, "a"); (2, "b") ] in
+  let q = Pqueue.of_list [ (3, 30); (1, 10); (2, 20) ] in
   let l = Pqueue.to_sorted_list q in
-  check (Alcotest.list Alcotest.string) "sorted copy" [ "a"; "b"; "c" ] (List.map snd l);
+  check (Alcotest.list Alcotest.int) "sorted copy" [ 10; 20; 30 ] (List.map snd l);
   checki "queue unchanged" 3 (Pqueue.length q)
 
+(* Equal keys pop in an unspecified order, but every (key, value)
+   pair comes out exactly once and keys never decrease. *)
 let prop_pqueue_sorts =
   QCheck.Test.make ~name:"pqueue pops keys in nondecreasing order" ~count:200
-    QCheck.(list (pair small_int unit))
+    QCheck.(list (pair small_int small_int))
     (fun items ->
       let q = Pqueue.of_list items in
-      let keys = List.map fst (Pqueue.to_sorted_list q) in
-      List.sort compare keys = keys)
+      let popped = Pqueue.to_sorted_list q in
+      let keys = List.map fst popped in
+      List.sort compare keys = keys && List.sort compare popped = List.sort compare items)
 
 (* ------------------------------------------------------------------ *)
 (* Bits *)
@@ -286,8 +292,9 @@ let () =
       ( "pqueue",
         [
           tc "ordering" test_pqueue_ordering;
-          tc "fifo ties" test_pqueue_fifo_ties;
-          tc "peek and length" test_pqueue_peek_and_length;
+          tc "min_key and length" test_pqueue_min_key_and_length;
+          tc "pop on empty raises" test_pqueue_pop_empty;
+          tc "grows past capacity" test_pqueue_grows;
           tc "clear" test_pqueue_clear;
           tc "to_sorted_list" test_pqueue_to_sorted_list;
           QCheck_alcotest.to_alcotest prop_pqueue_sorts;
